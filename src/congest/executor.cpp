@@ -785,7 +785,8 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
                      ev.alg,
                      ev.vround,
                      ev.node,
-                     finishing};
+                     finishing,
+                     /*slot_hint=*/0};
     VirtualContext ctx;
     ctx.self_ = ev.node;
     ctx.num_nodes_ = n;

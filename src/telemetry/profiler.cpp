@@ -8,6 +8,57 @@
 
 namespace dasched {
 
+namespace {
+
+constexpr unsigned kRoundDigitBits = 16;
+constexpr std::uint32_t kRoundDigitMask = (1u << kRoundDigitBits) - 1;
+
+/// One stable counting pass: scatters `cells` through `scratch` ordered by
+/// key(cell), given that key's histogram in `start`, and swaps the result
+/// in. Skipped when one bucket holds every cell: the order is already right.
+template <class Key>
+void counting_pass(std::vector<LoadCell>& cells, std::vector<LoadCell>& scratch,
+                   std::vector<std::size_t>& start, Key key) {
+  std::size_t offset = 0;
+  for (auto& s : start) {
+    if (s == cells.size()) return;
+    const std::size_t count = s;
+    s = offset;
+    offset += count;
+  }
+  scratch.resize(cells.size());
+  for (const auto& c : cells) scratch[start[key(c)]++] = c;
+  cells.swap(scratch);
+}
+
+}  // namespace
+
+void sort_load_cells(std::vector<LoadCell>& cells, std::uint32_t num_directed_edges) {
+  if (cells.size() < 2) return;
+  // Every pass's histogram up front, in two reads: the first also finds the
+  // largest big-round, which sizes the digit histograms.
+  std::vector<std::size_t> by_edge(num_directed_edges, 0);
+  std::uint32_t max_round = 0;
+  for (const auto& c : cells) {
+    DASCHED_CHECK_LT(c.edge, num_directed_edges, "load cell edge outside the graph");
+    ++by_edge[c.edge];
+    max_round = std::max(max_round, c.big_round);
+  }
+  std::vector<std::size_t> by_low(std::min(max_round, kRoundDigitMask) + std::size_t{1}, 0);
+  std::vector<std::size_t> by_high((max_round >> kRoundDigitBits) + std::size_t{1}, 0);
+  for (const auto& c : cells) {
+    ++by_low[c.big_round & kRoundDigitMask];
+    ++by_high[c.big_round >> kRoundDigitBits];
+  }
+  // Least significant key first: edge, then the low and high big-round digits.
+  std::vector<LoadCell> scratch;
+  counting_pass(cells, scratch, by_edge, [](const LoadCell& c) { return c.edge; });
+  counting_pass(cells, scratch, by_low,
+                [](const LoadCell& c) { return c.big_round & kRoundDigitMask; });
+  counting_pass(cells, scratch, by_high,
+                [](const LoadCell& c) { return c.big_round >> kRoundDigitBits; });
+}
+
 void ExecProfiler::begin_run(std::uint32_t num_directed_edges,
                              std::uint32_t num_big_rounds,
                              std::uint32_t num_workers,
@@ -76,7 +127,7 @@ void ExecProfiler::end_run() {
 
 std::vector<LoadCell> ExecProfiler::sorted_cells() const {
   std::vector<LoadCell> out = cells_;
-  std::sort(out.begin(), out.end());
+  sort_load_cells(out, num_edges_);
   return out;
 }
 

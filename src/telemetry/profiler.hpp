@@ -61,6 +61,16 @@ struct LoadCell {
   friend bool operator==(const LoadCell&, const LoadCell&) = default;
 };
 
+/// Stably sorts `cells` by (big_round, edge) -- element for element what
+/// std::stable_sort gives -- in O(cells + num_directed_edges + 2^16) time:
+/// counting passes by directed edge (every edge must be below
+/// num_directed_edges), then by the low and the high 16-bit big-round digit,
+/// each skipped when one bucket holds every cell. No counting array is sized
+/// by a big-round value, so a malformed schedule with slots near
+/// kNeverScheduled costs no more memory than a clean one. Both the
+/// verifier's static loads and ExecProfiler::sorted_cells() come out of it.
+void sort_load_cells(std::vector<LoadCell>& cells, std::uint32_t num_directed_edges);
+
 class ExecProfiler {
  public:
   /// Per-worker hot-path counters; padded out so adjacent shards do not
@@ -145,7 +155,8 @@ class ExecProfiler {
   /// first-touch order within a round). Deterministic across thread counts.
   const std::vector<LoadCell>& cells() const { return cells_; }
   /// The cells sorted by (big_round, edge) -- the join key the divergence
-  /// monitor and the verifier's static load table share.
+  /// monitor and the verifier's static load table share -- by the same
+  /// linear-time sort_load_cells() the verifier uses.
   std::vector<LoadCell> sorted_cells() const;
 
   /// The n busiest directed edges by total load (ties broken by edge id).

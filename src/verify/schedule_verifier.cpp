@@ -12,20 +12,6 @@ namespace {
 
 std::string format_msg(const std::ostringstream& os) { return os.str(); }
 
-/// One staged (big_round, directed_edge) transmission for the static load
-/// accounting; sorting groups equal pairs so loads are a run-length count.
-struct LoadKey {
-  std::uint32_t big_round;
-  std::uint32_t edge;
-  friend bool operator<(const LoadKey& x, const LoadKey& y) {
-    if (x.big_round != y.big_round) return x.big_round < y.big_round;
-    return x.edge < y.edge;
-  }
-  friend bool operator==(const LoadKey& x, const LoadKey& y) {
-    return x.big_round == y.big_round && x.edge == y.edge;
-  }
-};
-
 }  // namespace
 
 Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& schedule,
@@ -179,7 +165,9 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // run iff its producer slot is scheduled (Lemma 4.4 discard rule). ---
   const std::uint32_t headroom =
       opts.retry_budget == 0 ? 1u : (1u << opts.retry_budget);
-  std::vector<LoadKey> loads;
+  // One (big_round, directed_edge) cell of load 1 per transmission.
+  std::vector<LoadCell> loads;
+  loads.reserve(problem.total_messages());
   for (std::size_t a = 0; a < k; ++a) {
     const auto& pattern = problem.solo()[a].pattern;
     const std::uint32_t rounds = problem.algorithm(a).rounds();
@@ -211,7 +199,7 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
           }
           continue;
         }
-        loads.push_back({producer_slot, d});
+        loads.push_back({producer_slot, d, 1});
         if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
         ++report.measured.checked_messages;
         if (consumer_slot <= producer_slot) {
@@ -249,10 +237,10 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
     }
   }
 
-  // --- Static per-edge per-big-round loads: sort the (big_round, edge)
-  // transmissions and run-length count. Equal to the executor's measured
-  // loads on a reliable network. ---
-  std::sort(loads.begin(), loads.end());
+  // --- Static per-edge per-big-round loads: counting-sort the
+  // (big_round, edge) transmissions and run-length count. Equal to the
+  // executor's measured loads on a reliable network. ---
+  sort_load_cells(loads, g.num_directed_edges());
   for (std::size_t i = 0; i < loads.size();) {
     std::size_t j = i;
     while (j < loads.size() && loads[j] == loads[i]) ++j;

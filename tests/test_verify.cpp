@@ -12,8 +12,13 @@
 //   * VerifyingAdmission: an admitting gate leaves the execution identical
 //     to the ungated run; a rejecting gate aborts before any event runs.
 //   * Findings survive the RunReport JSON round-trip with exact totals.
+//   * Static load accounting: sort_load_cells matches a comparison sort
+//     element for element, static_loads is strictly ordered and sums to the
+//     scheduled messages, and a slot near kNeverScheduled costs no
+//     slot-sized memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "congest/executor.hpp"
@@ -27,6 +32,7 @@
 #include "sched/workloads.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
+#include "util/alloc_counter.hpp"
 #include "verify/schedule_verifier.hpp"
 
 namespace dasched {
@@ -285,6 +291,143 @@ TEST(CheckSchedule, FindingCapKeepsTotalsExact) {
   EXPECT_EQ(codes(report), std::vector<std::string>{verify::kCodeBlockDelay});
 }
 
+// --- Static load accounting: check_schedule's static_loads is strictly
+// increasing in (big_round, edge) and sums to the messages whose producer
+// slot is scheduled (Lemma 4.4 discards the rest). ---
+
+std::uint64_t scheduled_messages(const ScheduleProblem& problem,
+                                 const ScheduleTable& schedule) {
+  std::uint64_t total = 0;
+  for (std::size_t a = 0; a < problem.size(); ++a) {
+    const auto& pattern = problem.solo()[a].pattern;
+    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
+      for (const auto d : pattern.edges_in_round(r)) {
+        if (schedule.at(a, sender_of(problem.graph(), d), r) != kNeverScheduled) ++total;
+      }
+    }
+  }
+  return total;
+}
+
+std::uint64_t load_sum(const std::vector<LoadCell>& cells) {
+  std::uint64_t total = 0;
+  for (const auto& c : cells) total += c.load;
+  return total;
+}
+
+void expect_static_loads_well_formed(const std::string& name,
+                                     const ScheduleProblem& problem,
+                                     const ScheduleTable& schedule,
+                                     const std::vector<LoadCell>& static_loads) {
+  for (std::size_t i = 1; i < static_loads.size(); ++i) {
+    ASSERT_TRUE(static_loads[i - 1] < static_loads[i])
+        << name << ": cell " << i << " does not strictly follow cell " << i - 1;
+  }
+  EXPECT_EQ(load_sum(static_loads), scheduled_messages(problem, schedule)) << name;
+}
+
+// --- sort_load_cells, the linear-time (big_round, edge) order behind both
+// the static loads and ExecProfiler::sorted_cells(), differenced against a
+// comparison sort. Loads carry the input position, so the comparison also
+// pins stability among equal keys. ---
+
+void expect_sorts_like_stable_sort(std::vector<LoadCell> cells, std::uint32_t edges) {
+  for (std::size_t i = 0; i < cells.size(); ++i) cells[i].load = static_cast<std::uint32_t>(i);
+  auto want = cells;
+  std::stable_sort(want.begin(), want.end());
+  sort_load_cells(cells, edges);
+  EXPECT_EQ(cells, want);
+}
+
+TEST(SortLoadCells, EdgeCasesMatchComparisonSort) {
+  expect_sorts_like_stable_sort({}, 1);
+  expect_sorts_like_stable_sort({{7, 3, 0}}, 4);
+  expect_sorts_like_stable_sort(std::vector<LoadCell>(50, LoadCell{5, 2, 0}), 4);
+  // The highest directed edge id, and big-rounds on both sides of the 2^16
+  // digit boundary up to kNeverScheduled - 1.
+  expect_sorts_like_stable_sort({{kNeverScheduled - 1, 3, 0},
+                                 {65536, 0, 0},
+                                 {65535, 3, 0},
+                                 {0, 3, 0},
+                                 {kNeverScheduled - 1, 0, 0},
+                                 {(1u << 16) | 1u, 1, 0},
+                                 {65536, 0, 0},
+                                 {0, 0, 0}},
+                                4);
+}
+
+TEST(SortLoadCells, SeededRandomMultisetsMatchComparisonSort) {
+  // Big-round ranges: a single round, a short schedule, one past the first
+  // digit, and the full range below kNeverScheduled.
+  const std::uint64_t round_ranges[] = {1, 20, 70000, kNeverScheduled};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const auto edges = static_cast<std::uint32_t>(1 + rng.next_below(64));
+    const std::uint64_t rounds = round_ranges[seed % 4];
+    std::vector<LoadCell> cells(rng.next_below(600));
+    for (auto& c : cells) {
+      c.big_round = static_cast<std::uint32_t>(rng.next_below(rounds));
+      // Bias towards the highest edge id so it is always exercised.
+      c.edge = rng.next_below(4) == 0 ? edges - 1
+                                      : static_cast<std::uint32_t>(rng.next_below(edges));
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_sorts_like_stable_sort(std::move(cells), edges);
+  }
+}
+
+TEST(SortLoadCellsDeathTest, EdgeOutsideTheGraphIsRejected) {
+  std::vector<LoadCell> cells = {{0, 1, 1}, {0, 4, 1}};
+  EXPECT_DEATH(sort_load_cells(cells, 4), "outside the graph");
+}
+
+TEST(SortLoadCells, ProfilerSortedCellsMatchComparisonSort) {
+  const auto f = make_fixture();
+  ExecProfiler profiler;
+  ExecConfig cfg;
+  cfg.profiler = &profiler;
+  (void)Executor(f.g, cfg).run(f.algos, f.valid);
+  ASSERT_FALSE(profiler.cells().empty());
+  auto want = profiler.cells();
+  std::stable_sort(want.begin(), want.end());
+  EXPECT_EQ(profiler.sorted_cells(), want);
+}
+
+TEST(CheckSchedule, SlotNearNeverScheduledVerifiesWithoutSlotSizedMemory) {
+  auto f = make_fixture();
+  const ScheduleTable clean = f.valid;
+  // Move one sending slot of algorithm 0 to kNeverScheduled - 1. Whatever
+  // order findings that raises, the static loads must carry the far cell
+  // without a counting array sized by the slot value.
+  const auto& pattern = f.problem->solo()[0].pattern;
+  const std::uint32_t r = pattern.last_message_round();
+  ASSERT_GT(r, 0u);
+  const auto d = pattern.edges_in_round(r).front();
+  const NodeId sender = sender_of(f.g, d);
+  f.valid.set(0, sender, r, kNeverScheduled - 1);
+
+  VerifyOptions opts;
+  std::vector<LoadCell> clean_loads;
+  const std::uint64_t clean_before = alloc_bytes();
+  (void)check_schedule(*f.problem, clean, opts, &clean_loads);
+  const std::uint64_t clean_bytes = alloc_bytes() - clean_before;
+
+  std::vector<LoadCell> static_loads;
+  const std::uint64_t before = alloc_bytes();
+  const auto report = check_schedule(*f.problem, f.valid, opts, &static_loads);
+  const std::uint64_t bytes = alloc_bytes() - before;
+
+  EXPECT_EQ(report.measured.big_rounds, kNeverScheduled);
+  ASSERT_FALSE(static_loads.empty());
+  EXPECT_EQ(static_loads.back().big_round, kNeverScheduled - 1);
+  expect_static_loads_well_formed("far slot", *f.problem, f.valid, static_loads);
+  EXPECT_EQ(load_sum(static_loads), load_sum(clean_loads));
+  // The far slot adds two 2^16-entry digit histograms (1 MiB); a slot-sized
+  // counting array would need 2^32 entries.
+  ASSERT_TRUE(alloc_counting_linked());
+  EXPECT_LT(bytes, clean_bytes + (std::uint64_t{4} << 20));
+}
+
 // --- Clean sweep: every scheduler's table verifies clean, and the static
 // load accounting agrees exactly with the executor's measurements. ---
 
@@ -302,12 +445,15 @@ void expect_clean_and_static_equals_dynamic(const std::string& name,
                                             const ScheduleTable& schedule,
                                             const ExecutionResult& exec,
                                             const VerifyOptions& opts) {
-  const auto report = check_schedule(problem, schedule, opts);
+  std::vector<LoadCell> static_loads;
+  const auto report = check_schedule(problem, schedule, opts, &static_loads);
   EXPECT_TRUE(report.ok()) << name << ":\n" << table_str(report);
   // Deterministic algorithms on a reliable network: the schedule transmits
   // exactly the solo-pattern messages, so static loads == measured loads.
   EXPECT_EQ(report.measured.max_edge_load, exec.max_edge_load) << name;
   EXPECT_EQ(report.measured.big_rounds, exec.num_big_rounds) << name;
+  expect_static_loads_well_formed(name, problem, schedule, static_loads);
+  EXPECT_EQ(load_sum(static_loads), exec.total_messages) << name;
 }
 
 TEST(CleanSweep, SequentialAndGreedyVerifyWithUnitBudget) {
