@@ -10,8 +10,9 @@
 //          max edge load). "identical"/"agrees" are hard columns the CI
 //          perf-smoke job checks in BENCH_e14.json.
 //   E14.b  overhead: message throughput with the profiler on stays within 10%
-//          of the unprofiled engine (best-of-N, same workload as E13.b). The
-//          measured overhead also feeds tools/bench_trajectory.py.
+//          of the unprofiled engine (best-of-N, same workload as E13.b, both
+//          at --threads). The measured overhead also feeds
+//          tools/bench_trajectory.py.
 //   E14.c  allocation: with profiler AND flight recorder attached, the
 //          big-round loop still reports zero hot-path allocations from the
 //          second run onward -- the observatory obeys the same arena
@@ -167,11 +168,14 @@ void run_overhead_table(const char* title, NodeId n, std::size_t k,
                         std::uint32_t rounds, std::uint64_t seed) {
   Workload w = make_workload(n, k, rounds, seed);
 
-  Executor plain(*w.graph, {});
+  // Both engines at --threads: the overhead target holds per thread count.
+  ExecConfig cfg;
+  cfg.num_threads = bench::num_threads();
+  Executor plain(*w.graph, cfg);
   const double off_ms = best_run_ms(plain, w);
 
   ExecProfiler profiler;
-  ExecConfig pcfg;
+  ExecConfig pcfg = cfg;
   pcfg.profiler = &profiler;
   Executor profiled(*w.graph, pcfg);
   const double on_ms = best_run_ms(profiled, w);

@@ -43,13 +43,11 @@ bool ExecutionResult::all_completed() const {
 // namespace) because ExecScratch -- declared in the header -- holds arenas of
 // them; this TU is the only one that defines or uses them.
 //
-// Message layout (the width-dispatch layer, congest/message.hpp): the engine
-// never moves an owning VMessage. A staged or delivered message is one packed
-// u32 header (sender + payload length) in a header lane plus W u64 words in a
-// W-strided payload lane, where W is the run width run() derived. Everything
-// below that stores "a message" stores those two lanes. perf-ok:
-// sizeof(VMessage) appears nowhere in this engine; lane strides come from the
-// run width alone.
+// Message layout (the width-dispatch layer, congest/message.hpp): a staged or
+// delivered message is one packed u32 header (sender + payload length) in a
+// header lane plus W u64 words in a W-strided payload lane, where W is the run
+// width run() derived. Everything below that stores "a message" stores those
+// two lanes; lane strides come from the run width alone.
 
 /// One scheduled execution event.
 struct ExecEvent {
@@ -76,7 +74,8 @@ template <std::uint32_t W>
 struct RetryMessage {
   StagedMeta meta;
   std::uint32_t directed_edge;
-  std::uint32_t hdr;  // packed sender + length (congest/message.hpp)
+  std::uint32_t hdr;   // packed sender + length (congest/message.hpp)
+  std::uint64_t dest;  // the staged_dest word: (consumer round << 32) | slot
   std::uint64_t pay[W];
 };
 
@@ -170,21 +169,30 @@ struct WorkerState {
   std::uint64_t event_serial = 0;
   // --- Tile ownership (the tiled delivery barrier, docs/PERFORMANCE.md).
   // Each worker statically owns a contiguous range of consumer tiles per
-  // round; everything below is written only by its owner during parallel
-  // phases. The serial barrier writes the same structures owner-correctly,
-  // so their contents are bit-identical across thread counts. ---
+  // round and a contiguous range of directed edges; everything below is
+  // written only by its owner. Owners fill them from a source order and an
+  // ownership map that do not depend on the thread count, so their contents
+  // are bit-identical across thread counts. ---
   std::vector<std::uint32_t> pend_round;  // perf-ok: big-round -> own seg index or kNoBucket
   std::vector<PendingSeg> pend_pool;      // perf-ok: recycled via pend_free
   std::vector<std::uint32_t> pend_free;   // perf-ok: drained-seg free list
-  std::vector<std::uint32_t> touched;     // perf-ok: touched edges of this worker's edge range
+  // Touched edges of this worker's edge range; sorted and kept (loads not yet
+  // zeroed) until the per-edge observers read them after the barrier.
+  std::vector<std::uint32_t> touched;     // perf-ok: reserved to the edge range
+  // One bit per edge of the range (offset from its first edge), all-zero
+  // between rounds: sorts `touched` in O(touched + range/64).
+  std::vector<std::uint64_t> touched_bits;  // perf-ok: sized per run
   // Inbox-presence words this owner set during the current round's gather;
   // the post-execution clear walks exactly these instead of memsetting the
   // whole bitset (the bitset is all-zero outside the round window).
   std::vector<std::uint32_t> touched_words;  // perf-ok: scoped presence clears
   std::uint32_t max_load_partial = 0;  // max edge load over this worker's edge range
-  std::uint64_t violations = 0;  // causality violations counted at the parallel barrier (worker 0)
+  std::uint64_t violations = 0;  // causality violations counted at the barrier (worker 0)
   std::uint64_t delivered = 0;  // cumulative messages consumed by this worker
-  std::uint64_t skipped = 0;    // events skipped because the node crash-stopped
+  // This worker's share of the run's fault accounting: the events it skipped
+  // and the fates of the messages it settled at the barrier. Summed in worker
+  // order at the end of the run.
+  ExecutionResult::FaultStats faults;
 };
 
 namespace {
@@ -204,10 +212,11 @@ constexpr std::uint32_t kNoBucket = ~std::uint32_t{0};
 constexpr std::uint32_t kNeverDest = ~std::uint32_t{0} - 1;
 constexpr std::uint32_t kFinishDest = ~std::uint32_t{0};
 
-/// Minimum staged messages in a big-round before the delivery barrier itself
-/// runs tiled-parallel; below this the serial barrier wins (one pool dispatch
-/// costs two condition-variable sweeps). Invisible in results: the parallel
-/// barrier reproduces the serial routing bit for bit.
+/// Minimum messages in a big-round before a barrier phase (inbox gather or
+/// delivery) is dispatched to the pool; below this its per-worker bodies run
+/// inline on the calling thread (one pool dispatch costs two
+/// condition-variable sweeps). Invisible in results: inline and pooled runs
+/// of a body are the same computation.
 constexpr std::uint64_t kMinMessagesParallelBarrier = 256;
 
 /// Per-event send path, width-specialized: stages straight into the
@@ -310,6 +319,20 @@ inline void prefetch_for_write(const void* p) {
 /// finish arena is checked to stay under 2^31 messages so the bit is free.
 constexpr std::uint32_t kPlaced = 0x80000000u;
 
+void add_fault_stats(ExecutionResult::FaultStats& into,
+                     const ExecutionResult::FaultStats& part) {
+  into.attempts += part.attempts;
+  into.delivered += part.delivered;
+  into.dropped_random += part.dropped_random;
+  into.dropped_outage += part.dropped_outage;
+  into.dropped_crash += part.dropped_crash;
+  into.duplicated += part.duplicated;
+  into.duplicates_suppressed += part.duplicates_suppressed;
+  into.retransmissions += part.retransmissions;
+  into.lost += part.lost;
+  into.skipped_events += part.skipped_events;
+}
+
 }  // namespace
 
 /// Everything the engine reuses across big-rounds and runs. First run of a
@@ -379,8 +402,7 @@ struct ExecScratch {
   std::vector<std::size_t> finish_offset;  // perf-ok: per (alg, node), size k*n + 1
 
   // --- Edge-load accounting (self-zeroing between rounds). ---
-  std::vector<std::uint32_t> edge_count;     // perf-ok: zeroed via touched_edges
-  std::vector<std::uint32_t> touched_edges;  // perf-ok: reserved to num_directed_edges
+  std::vector<std::uint32_t> edge_count;  // perf-ok: zeroed via WorkerState::touched
 };
 
 Executor::Executor(const Graph& g, ExecConfig cfg)
@@ -399,12 +421,6 @@ Executor::Executor(const Graph& g, ExecConfig cfg)
 }
 
 Executor::~Executor() = default;
-
-ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algorithms,
-                              const ExecTimeFn& exec_time) {
-  return run(algorithms,
-             ScheduleTable::from_fn(algorithms, graph_.num_nodes(), exec_time));
-}
 
 ExecutionResult Executor::run(std::span<const DistributedAlgorithm* const> algorithms,
                               const ScheduleTable& schedule) {
@@ -573,17 +589,14 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   scratch.finish_hdr.clear();
   scratch.finish_pay.clear();
   scratch.edge_count.assign(graph_.num_directed_edges(), 0);
-  scratch.touched_edges.clear();
-  scratch.touched_edges.reserve(graph_.num_directed_edges());
-
   auto& edge_count = scratch.edge_count;
-  auto& touched_edges = scratch.touched_edges;
 
   // --- Fault injection and reliable delivery (docs/FAULTS.md). All fault
-  // decisions run at the delivery barrier below, which processes messages in
-  // shard-merged (== serial) order, and are pure functions of the plan seed
-  // and message identity -- so faulty runs are bit-identical across thread
-  // counts. With `faults` null none of this is touched. ---
+  // decisions run inside the delivery barrier below and are pure functions of
+  // the plan seed, the message identity and the attempt; every
+  // order-dependent consequence (recorder fates, retry queue, horizon) is
+  // taken by worker 0 in stream order -- so faulty runs are bit-identical
+  // across thread counts. With `faults` null none of this is touched. ---
   const FaultInjector* const faults = cfg_.faults;
   const std::uint32_t max_retries = faults != nullptr ? cfg_.retry.max_retries : 0;
   RetryQueue<RetryMessage<W>> retry_queue;
@@ -611,7 +624,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   std::vector<WorkerState>& workers = scratch.workers;
   for (auto& ws : workers) {
     ws.delivered = 0;
-    ws.skipped = 0;
+    ws.faults = {};
     ws.max_load_partial = 0;
     ws.violations = 0;
     ws.staged_hdr.clear();
@@ -634,19 +647,22 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     }
     ws.touched.clear();
     ws.touched.reserve(graph_.num_directed_edges() / num_workers + 1);
+    ws.touched_bits.assign((graph_.num_directed_edges() / num_workers + 1) / 64 + 1, 0);
     ws.touched_words.clear();
   }
   std::uint64_t rounds_parallel = 0;
   std::uint64_t rounds_serial = 0;
-  // The tiled parallel barrier engages only on unobserved clean runs: every
-  // observer (telemetry, profiler, recorder, patterns) and the fault layer
-  // is specified in serial shard-merged delivery order, which the serial
-  // barrier provides directly. Results are bit-identical either way; only
-  // who does the routing differs.
-  const bool barrier_observed = cfg_.faults != nullptr ||
-                                cfg_.telemetry != nullptr ||
-                                cfg_.recorder != nullptr ||
-                                cfg_.profiler != nullptr || cfg_.record_patterns;
+  // Runs a barrier phase's per-worker body for w = 0..W-1: on the pool when
+  // the round moves at least kMinMessagesParallelBarrier messages, inline
+  // otherwise. Each body writes only what its worker owns, so the two are
+  // the same computation.
+  auto for_each_worker = [&](std::uint64_t messages, auto& body) {
+    if (num_workers > 1 && messages >= kMinMessagesParallelBarrier) {
+      pool_->run_static_ctx(num_workers, body);
+    } else {
+      for (std::uint32_t w = 0; w < num_workers; ++w) body(w);
+    }
+  };
 
   // --- Tile geometry and static ownership (docs/PERFORMANCE.md). Round t's
   // bucket of B events splits into T = ceil(B / tile_events) tiles of
@@ -670,15 +686,10 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       row[w] = static_cast<std::uint32_t>(std::min(bsize, lo_tile * tile_events));
     }
   }
-  // Owner of a consumer slot: the inverse of the tile ranges above
-  // (w = floor(tile * W / T) is exactly the w with lo_tile(w) <= tile <
-  // lo_tile(w + 1)).
-  auto owner_of = [&](std::uint32_t dest, std::uint32_t slot) -> std::uint32_t {
-    if (num_workers == 1) return 0;
-    const std::size_t bsize = bucket_start[dest + 1] - bucket_start[dest];
-    const std::size_t tiles = (bsize + tile_events - 1) / tile_events;
-    return static_cast<std::uint32_t>(std::size_t{slot / tile_events} *
-                                      num_workers / tiles);
+  // Whether worker w owns consumer slot `slot` of round `dest`'s bucket.
+  auto owns = [&](std::uint32_t w, std::uint32_t dest, std::uint32_t slot) {
+    const auto* bound = slot_bound.data() + std::size_t{dest} * (num_workers + 1);
+    return slot >= bound[w] && slot < bound[w + 1];
   };
   const auto sched_flat = schedule.flat();
 
@@ -722,7 +733,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     if (faults != nullptr && faults->node_crashed(ev.node, t)) {
       // Crash-stop: the node executes nothing from its crash round on. Its
       // progress freezes, so it is never marked completed.
-      ++ws.skipped;
+      ++ws.faults.skipped_events;
       if (recorder != nullptr) {
         recorder->record(static_cast<std::uint32_t>(&ws - workers.data()),
                          FlightRecorder::Kind::kCrashSkip, t,
@@ -825,13 +836,12 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     // consumer provably executes in this round, and its slot lies in its
     // owner's tile range, so owners histogram and scatter only slots (and
     // 64-event presence words) they own: the whole gather runs on the pool
-    // with no atomics, and a serial sweep over the same segs builds the
-    // identical arena. Exact per-slot offsets come from one serial
-    // prefix-walk over the populated presence bits between the two phases --
-    // O(messages + bucket/64), with no per-slot zeroing anywhere: the
-    // presence bitset is all-zero on entry (the previous round cleared
-    // exactly the words it touched) and the first touch of a slot *assigns*
-    // its count. ---
+    // with no atomics, and the same bodies run inline build the identical
+    // arena. Exact per-slot offsets come from one serial prefix-walk over
+    // the populated presence bits between the two phases -- O(messages +
+    // bucket/64), with no per-slot zeroing anywhere: the presence bitset is
+    // all-zero on entry (the previous round cleared exactly the words it
+    // touched) and the first touch of a slot *assigns* its count. ---
     round_has_inbox = false;
     std::size_t pend_total = 0;
     for (auto& ws : workers) {
@@ -860,8 +870,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       if (scratch.arena_pay.size() < pend_total * W) {
         scratch.arena_pay.resize(pend_total * W);
       }
-      const bool parallel_gather =
-          num_workers > 1 && pend_total >= kMinMessagesParallelBarrier;
       auto histogram_body = [&](std::uint32_t w) {
         auto& ws = workers[w];
         const std::uint32_t seg_idx =
@@ -918,11 +926,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         ws.pend_free.push_back(seg_idx);
         ws.pend_round[t] = kNoBucket;
       };
-      if (parallel_gather) {
-        pool_->run_static_ctx(num_workers, histogram_body);
-      } else {
-        for (std::uint32_t w = 0; w < num_workers; ++w) histogram_body(w);
-      }
+      for_each_worker(pend_total, histogram_body);
       // Serial prefix over the populated slots only, in slot order (the
       // presence bits are walked word by word via countr_zero); doubles as
       // the cursor init, so the scatter needs no bit-walk of its own.
@@ -939,11 +943,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
           }
         }
       }
-      if (parallel_gather) {
-        pool_->run_static_ctx(num_workers, scatter_body);
-      } else {
-        for (std::uint32_t w = 0; w < num_workers; ++w) scatter_body(w);
-      }
+      for_each_worker(pend_total, scatter_body);
     }
 
     // --- Execute the bucket: statically sharded when large enough. When the
@@ -994,18 +994,39 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
       }
     }
 
-    // --- Barrier: deliver staged messages in shard order (this reproduces
-    // the serial staging order exactly), account loads, detect violations. ---
-    auto account_edge = [&](std::uint32_t d) {
-      if (edge_count[d] == 0) touched_edges.push_back(d);
-      ++edge_count[d];
-    };
-    // Bind each delivered message to the big-round in which its consumer
-    // executes. Messages whose consumer already ran (a causality violation)
-    // or is never scheduled would sit unread in any inbox; they are counted
-    // and dropped, which is observationally identical. tag == T messages are
-    // consumed by on_finish after the loop and so can never be violated.
-    auto acquire_seg = [&](WorkerState& ow, std::uint32_t dest) -> PendingSeg& {
+    // --- Delivery barrier (docs/PERFORMANCE.md, "The delivery body").
+    // One per-worker body, whatever the worker count, run by
+    // for_each_worker. Every worker scans the round's message stream --
+    // retransmissions due this round first (they are older than this round's
+    // sends, and queued in stream order at earlier barriers), then every
+    // shard's staging lanes in shard order -- and acts only on what it owns:
+    //   * the loads of its directed-edge range (a self-zeroing fold);
+    //   * messages whose consumer lies in its tiles, appended to its own
+    //     pending seg in stream order. Stream order and the slot -> owner map
+    //     do not depend on the thread count, so neither does any seg, nor
+    //     any gather built from the segs;
+    //   * worker 0 also takes every order-dependent stream: tag == T messages
+    //     (routed by their packed finish key), causality violations,
+    //     record_patterns, the recorder's per-message fates and, on faulty
+    //     runs, the retry queue and the horizon.
+    // No atomics anywhere: every written cell has exactly one owner. ---
+    std::uint64_t retries_this_round = 0;
+    if (max_retries > 0) {
+      retry_queue.drain_into(t, retry_due);
+      retries_this_round = retry_due.size();
+    }
+    std::uint64_t fresh_this_round = 0;
+    for (auto& ws : workers) {
+      scratch.staged_high_water =
+          std::max(scratch.staged_high_water, ws.staged_hdr.size());
+      fresh_this_round += ws.staged_hdr.size();
+    }
+    const std::uint64_t messages_this_round = retries_this_round + fresh_this_round;
+
+    // Binds a message to the big-round in which its consumer executes: one
+    // append to owner `ow`'s pending seg for round `dest`.
+    auto park = [&](WorkerState& ow, std::uint32_t dest, std::uint32_t slot,
+                    std::uint32_t hdr, const std::uint64_t* pay) {
       std::uint32_t idx = ow.pend_round[dest];
       if (idx == kNoBucket) {
         if (!ow.pend_free.empty()) {
@@ -1017,300 +1038,224 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         }
         ow.pend_round[dest] = idx;
       }
-      return ow.pend_pool[idx];
-    };
-    // Serial routing of one message by its precomputed destination: the lane
-    // record is (packed header, W payload words); `slot` is the consumer's
-    // bucket slot, or the packed finish key for dest == kFinishDest. Parked
-    // messages go to the seg of the worker that OWNS the consumer's tile --
-    // not the worker that staged them -- so the serial barrier builds exactly
-    // the per-owner structure the parallel barrier builds, and gathers see
-    // one seg order regardless of thread count.
-    auto route_one = [&](std::uint32_t dest, std::uint32_t slot,
-                         std::uint32_t hdr, const std::uint64_t* pay) {
-      if (dest == kFinishDest) {
-        scratch.finish_key.push_back(slot);
-        scratch.finish_hdr.push_back(hdr);
-        scratch.finish_pay.insert(scratch.finish_pay.end(), pay, pay + W);
-        return;
-      }
-      if (dest == kNeverDest) return;  // consumer never runs
-      if (dest <= t) {
-        ++result.causality_violations;
-        return;
-      }
-      auto& seg = acquire_seg(workers[owner_of(dest, slot)], dest);
+      auto& seg = ow.pend_pool[idx];
       seg.slot.push(slot);
       seg.hdr.push(hdr);
       std::memcpy(seg.pay.append_n(W), pay, W * sizeof(std::uint64_t));
     };
-    // Destination lookup for messages without precomputed lanes (retries on
-    // the faulty path re-enter the barrier from the retry queue).
-    auto deliver = [&](const RetryMessage<W>& sm) {
-      if (sm.meta.tag == schedule.rounds(sm.meta.alg)) {
-        route_one(kFinishDest,
-                  static_cast<std::uint32_t>(std::size_t{sm.meta.alg} * n + sm.meta.to),
-                  sm.hdr, sm.pay);
-        return;
+    // Worker 0's share of routing: a message no tile parks. tag == T messages
+    // go to the finish lanes, consumed by on_finish after the loop. A message
+    // whose consumer already ran (a causality violation) or never runs would
+    // sit unread in any inbox; it is counted or dropped, which is
+    // observationally identical.
+    auto settle = [&](WorkerState& w0, std::uint64_t ds, std::uint32_t hdr,
+                      const std::uint64_t* pay) {
+      const auto dest = static_cast<std::uint32_t>(ds >> 32);
+      if (dest == kFinishDest) {
+        scratch.finish_key.push_back(static_cast<std::uint32_t>(ds));
+        scratch.finish_hdr.push_back(hdr);
+        scratch.finish_pay.insert(scratch.finish_pay.end(), pay, pay + W);
+      } else if (dest != kNeverDest) {
+        ++w0.violations;
       }
-      const std::size_t si =
-          schedule.slot_index(sm.meta.alg, sm.meta.to, sm.meta.tag + 1);
-      const std::uint32_t dest = sched_flat[si];
-      const bool never = dest == kNeverScheduled;
-      route_one(never ? kNeverDest : dest, never ? 0 : scratch.slot_of[si],
-                sm.hdr, sm.pay);
     };
-    // Faulty-path transmission: one bandwidth slot in this big-round, fate
-    // from the injector (pure in the message identity and t), retransmission
-    // bookkeeping for the reliable layer.
-    auto transmit_faulty = [&](const RetryMessage<W>& sm, std::uint32_t attempt) {
-      auto& fs = result.faults;
-      ++fs.attempts;
-      account_edge(sm.directed_edge);
-      ++result.total_messages;
-      // Flight-recorder fate entries go to the barrier ring (index
-      // num_workers): fates are decided here, serially, in shard-merged order.
-      const std::uint64_t fr_key = (std::uint64_t{sm.meta.alg} << 32) | sm.meta.tag;
-      bool dropped = false;
-      if (faults->link_down(sm.directed_edge / 2, t)) {
-        ++fs.dropped_outage;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropOutage, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
-      } else if (faults->node_crashed(sm.meta.to, t)) {
-        // A crashed receiver neither stores nor acks the message.
-        ++fs.dropped_crash;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropCrash, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
-      } else if (faults->drop(sm.meta.alg, sm.directed_edge, sm.meta.tag, attempt)) {
-        ++fs.dropped_random;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDropRandom, t,
-                           fr_key, sm.directed_edge);
-        }
-        dropped = true;
+    // One transmission attempt on a faulty run, as seen by worker w. Its fate
+    // is a pure function of the message identity, the attempt and t
+    // (docs/FAULTS.md), so every worker that needs it computes it and all
+    // agree. The worker that settles the message -- its consumer tile's
+    // owner, or worker 0 when no tile parks it -- tallies the fate and
+    // delivers the copies; worker 0 also logs the recorder fates and queues
+    // the retransmission, in stream order.
+    auto transmit = [&](std::uint32_t w, const StagedMeta& meta, std::uint32_t edge,
+                        std::uint32_t hdr, std::uint64_t ds, const std::uint64_t* pay,
+                        std::uint32_t attempt) {
+      const auto dest = static_cast<std::uint32_t>(ds >> 32);
+      const auto slot = static_cast<std::uint32_t>(ds);
+      const bool parked = dest < kNeverDest && dest > t;
+      const bool settles = parked ? owns(w, dest, slot) : w == 0;
+      const bool logs = w == 0 && (recorder != nullptr || max_retries > 0);
+      if (!settles && !logs) return;
+      using Kind = FlightRecorder::Kind;
+      Kind fate = Kind::kDeliver;
+      if (faults->link_down(edge / 2, t)) {
+        fate = Kind::kDropOutage;
+      } else if (faults->node_crashed(meta.to, t)) {
+        fate = Kind::kDropCrash;  // a crashed receiver neither stores nor acks
+      } else if (faults->drop(meta.alg, edge, meta.tag, attempt)) {
+        fate = Kind::kDropRandom;
       }
-      if (!dropped) {
-        ++fs.delivered;
-        if (recorder != nullptr) {
-          recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
-                           fr_key, sm.directed_edge);
-        }
-        if (faults->duplicate(sm.meta.alg, sm.directed_edge, sm.meta.tag, attempt)) {
-          if (max_retries > 0) {
-            // The reliable layer's per-edge bookkeeping recognizes the copy.
-            ++fs.duplicates_suppressed;
+      const bool delivered = fate == Kind::kDeliver;
+      const bool duplicate =
+          delivered && faults->duplicate(meta.alg, edge, meta.tag, attempt);
+      // Without the reliable layer a duplicate is a second delivered copy;
+      // with it, the per-edge bookkeeping recognizes and suppresses the copy.
+      const std::uint32_t copies = !delivered ? 0 : (duplicate && max_retries == 0) ? 2 : 1;
+      // A dropped attempt is retransmitted with exponential backoff (gap
+      // 2^attempt) while the sender is alive and the budget lasts.
+      const bool retry = !delivered && attempt < max_retries &&
+                         !faults->node_crashed(msg_header_from(hdr), t + (1u << attempt));
+      if (settles) {
+        auto& fs = workers[w].faults;
+        ++fs.attempts;
+        fs.delivered += copies;
+        fs.dropped_outage += fate == Kind::kDropOutage;
+        fs.dropped_crash += fate == Kind::kDropCrash;
+        fs.dropped_random += fate == Kind::kDropRandom;
+        fs.duplicated += copies == 2;
+        fs.duplicates_suppressed += duplicate && max_retries > 0;
+        fs.retransmissions += retry;
+        fs.lost += !delivered && !retry;
+        for (std::uint32_t c = 0; c < copies; ++c) {
+          if (parked) {
+            park(workers[w], dest, slot, hdr, pay);
           } else {
-            ++fs.duplicated;
-            ++fs.delivered;
-            if (recorder != nullptr) {
-              recorder->record(num_workers, FlightRecorder::Kind::kDuplicate, t,
-                               fr_key, sm.directed_edge);
-            }
-            deliver(sm);
+            settle(workers[w], ds, hdr, pay);
           }
         }
-        deliver(sm);
-        return;
       }
-      // Dropped. Retransmit with exponential backoff (gap 2^attempt after
-      // failed attempt `attempt`) while the sender is alive and budget lasts.
-      if (attempt < max_retries) {
-        const std::uint32_t retry_round = t + (1u << attempt);
-        if (!faults->node_crashed(msg_header_from(sm.hdr), retry_round)) {
-          ++fs.retransmissions;
-          if (recorder != nullptr) {
-            recorder->record(num_workers, FlightRecorder::Kind::kRetry, t,
-                             (std::uint64_t{attempt + 1} << 32) | sm.meta.tag,
-                             sm.directed_edge);
-          }
-          if (retry_round >= horizon) {
-            horizon = retry_round + 1;
-            result.max_load_per_big_round.resize(horizon, 0);
-          }
-          retry_queue.schedule(retry_round, sm, attempt + 1);
-          return;
-        }
-      }
-      ++fs.lost;
+      if (w != 0) return;
+      const std::uint64_t fr_key = (std::uint64_t{meta.alg} << 32) | meta.tag;
       if (recorder != nullptr) {
-        recorder->record(num_workers, FlightRecorder::Kind::kLost, t, fr_key,
-                         sm.directed_edge);
+        recorder->record(num_workers, fate, t, fr_key, edge);
+        if (copies == 2) recorder->record(num_workers, Kind::kDuplicate, t, fr_key, edge);
+        if (retry) {
+          recorder->record(num_workers, Kind::kRetry, t,
+                           (std::uint64_t{attempt + 1} << 32) | meta.tag, edge);
+        } else if (!delivered) {
+          recorder->record(num_workers, Kind::kLost, t, fr_key, edge);
+        }
+      }
+      if (retry) {
+        const std::uint32_t retry_round = t + (1u << attempt);
+        if (retry_round >= horizon) {
+          horizon = retry_round + 1;
+          result.max_load_per_big_round.resize(horizon, 0);
+        }
+        RetryMessage<W> rm{meta, edge, hdr, ds, {}};
+        std::memcpy(rm.pay, pay, W * sizeof(std::uint64_t));
+        retry_queue.schedule(retry_round, rm, attempt + 1);
       }
     };
 
-    std::uint64_t messages_this_round = 0;
-    std::uint64_t retries_this_round = 0;
-    // Retransmissions due this round go first: they are older than this
-    // round's fresh sends, and their queue order is deterministic (scheduled
-    // at earlier barriers in shard-merged order).
-    if (max_retries > 0) {
-      retry_queue.drain_into(t, retry_due);
-      retries_this_round = retry_due.size();
-      messages_this_round += retries_this_round;
-      for (const auto& entry : retry_due) {
-        transmit_faulty(entry.msg, entry.attempt);
+    const std::uint64_t num_dir_edges = graph_.num_directed_edges();
+    const bool observe_edges = profiler != nullptr || telemetry != nullptr;
+    const bool log_sends = cfg_.record_patterns || (recorder != nullptr && faults == nullptr);
+    auto barrier_body = [&](std::uint32_t w) {
+      auto& ow = workers[w];
+      // Phase E: every attempt -- retransmission or fresh, delivered or
+      // dropped -- takes one unit of its edge's bandwidth this round.
+      const auto elo = static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
+      const auto ehi = static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
+      auto fold = [&](std::uint32_t d) {
+        if (d >= elo && d < ehi && edge_count[d]++ == 0) ow.touched.push_back(d);
+      };
+      for (const auto& entry : retry_due) fold(entry.msg.directed_edge);
+      for (const auto& src : workers) {
+        for (const auto d : src.staged_edge) fold(d);
       }
-    }
-    std::uint64_t fresh_this_round = 0;
-    for (auto& ws : workers) {
-      scratch.staged_high_water =
-          std::max(scratch.staged_high_water, ws.staged_hdr.size());
-      fresh_this_round += ws.staged_hdr.size();
-    }
-    messages_this_round += fresh_this_round;
-
-    std::uint32_t max_load = 0;
-    if (barrier_observed || num_workers == 1 ||
-        fresh_this_round < kMinMessagesParallelBarrier) {
-      // --- Serial barrier: one thread walks the shards' lanes in order. ---
-      for (std::uint32_t w = 0; w < num_workers; ++w) {
-        auto& ws = workers[w];
-        const std::size_t staged_count = ws.staged_hdr.size();
-        for (std::size_t i = 0; i < staged_count; ++i) {
-          if (cfg_.record_patterns) {
-            // Patterns describe what the algorithm sent; retries are excluded.
-            const auto& meta = ws.staged_meta[i];
-            result.patterns[meta.alg].record(meta.tag, ws.staged_edge[i]);
+      std::uint32_t local_max = 0;
+      for (const auto d : ow.touched) {
+        local_max = std::max(local_max, edge_count[d]);
+        if (!observe_edges) edge_count[d] = 0;
+      }
+      ow.max_load_partial = local_max;
+      // Per-edge observers read (and zero) the loads after the dispatch, in
+      // ascending edge order.
+      if (observe_edges) {
+        std::uint64_t* const bits = ow.touched_bits.data();
+        for (const auto d : ow.touched) {
+          bits[(d - elo) >> 6] |= std::uint64_t{1} << ((d - elo) & 63);
+        }
+        ow.touched.clear();
+        for (std::size_t wi = 0; wi < ow.touched_bits.size(); ++wi) {
+          for (std::uint64_t b = bits[wi]; b != 0; b &= b - 1) {
+            ow.touched.push_back(
+                elo + static_cast<std::uint32_t>((wi << 6) + std::countr_zero(b)));
           }
-          if (faults == nullptr) {
-            account_edge(ws.staged_edge[i]);
-            ++result.total_messages;
-            if (recorder != nullptr) {
-              const auto& meta = ws.staged_meta[i];
+          bits[wi] = 0;
+        }
+      } else {
+        ow.touched.clear();
+      }
+
+      // Worker 0's per-send streams. Patterns describe what the algorithms
+      // sent, so retransmissions are excluded; faulty runs log fates below
+      // instead of plain deliveries.
+      if (w == 0 && log_sends) {
+        for (const auto& src : workers) {
+          for (std::size_t i = 0; i < src.staged_hdr.size(); ++i) {
+            const auto& meta = src.staged_meta[i];
+            if (cfg_.record_patterns) {
+              result.patterns[meta.alg].record(meta.tag, src.staged_edge[i]);
+            }
+            if (recorder != nullptr && faults == nullptr) {
               recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
                                (std::uint64_t{meta.alg} << 32) | meta.tag,
-                               ws.staged_edge[i]);
+                               src.staged_edge[i]);
             }
-            const std::uint64_t ds = ws.staged_dest[i];
-            route_one(static_cast<std::uint32_t>(ds >> 32),
-                      static_cast<std::uint32_t>(ds), ws.staged_hdr[i],
-                      ws.staged_pay.data() + i * W);
-          } else {
-            RetryMessage<W> rm;
-            rm.meta = ws.staged_meta[i];
-            rm.directed_edge = ws.staged_edge[i];
-            rm.hdr = ws.staged_hdr[i];
-            std::memcpy(rm.pay, ws.staged_pay.data() + i * W,
-                        W * sizeof(std::uint64_t));
-            transmit_faulty(rm, 0);
           }
         }
-        ws.staged_hdr.clear();
-        ws.staged_pay.clear();
-        ws.staged_meta.clear();
-        ws.staged_edge.clear();
-        ws.staged_dest.clear();
       }
 
-      for (const auto d : touched_edges) {
-        max_load = std::max(max_load, edge_count[d]);
-        if (cfg_.enforce_unit_capacity && edge_count[d] > 1) {
-          // Post-mortem before the hard failure: the rings hold the
-          // deliveries leading up to the overflow.
-          if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
-          DASCHED_CHECK_LE(edge_count[d], 1u,
-                           "CONGEST bandwidth violated: >1 message per edge per round");
+      // Phase R: route.
+      if (faults != nullptr) {
+        for (const auto& entry : retry_due) {
+          const auto& m = entry.msg;
+          transmit(w, m.meta, m.directed_edge, m.hdr, m.dest, m.pay, entry.attempt);
         }
-        if (profiler != nullptr) {
-          // Touched cells are visited in first-touch order, which is the
-          // shard-merged (== serial) staging order: deterministic across
-          // thread counts.
-          profiler->record_cell(t, d, edge_count[d]);
+        for (const auto& src : workers) {
+          for (std::size_t i = 0; i < src.staged_hdr.size(); ++i) {
+            transmit(w, src.staged_meta[i], src.staged_edge[i], src.staged_hdr[i],
+                     src.staged_dest[i], src.staged_pay.data() + i * W, 0);
+          }
         }
+        return;
+      }
+      for (const auto& src : workers) {
+        const std::size_t m = src.staged_hdr.size();
+        for (std::size_t i = 0; i < m; ++i) {
+          const std::uint64_t ds = src.staged_dest[i];
+          const auto dest = static_cast<std::uint32_t>(ds >> 32);
+          const auto slot = static_cast<std::uint32_t>(ds);
+          const std::uint64_t* pay = src.staged_pay.data() + i * W;
+          if (dest >= kNeverDest || dest <= t) {
+            if (w == 0) settle(ow, ds, src.staged_hdr[i], pay);
+          } else if (owns(w, dest, slot)) {
+            park(ow, dest, slot, src.staged_hdr[i], pay);
+          }
+        }
+      }
+    };
+    for_each_worker(messages_this_round, barrier_body);
+
+    std::uint32_t max_load = 0;
+    for (auto& ws : workers) {
+      max_load = std::max(max_load, ws.max_load_partial);
+      // Worker order concatenates the ascending edge ranges: the cells come
+      // out (big_round, edge)-sorted for every thread count.
+      for (const auto d : ws.touched) {
+        if (profiler != nullptr) profiler->record_cell(t, d, edge_count[d]);
         if (telemetry != nullptr) {
           telemetry->record_value("executor.edge_load", edge_count[d]);
         }
         edge_count[d] = 0;
       }
-      touched_edges.clear();
-    } else {
-      // --- Tiled parallel barrier: one static pool dispatch, every worker
-      // scanning all shards' dense destination lanes in shard order but
-      // acting only on what it owns. Phase E folds edge loads over a static
-      // partition of the directed-edge space (self-zeroing, like the serial
-      // touched_edges sweep). Phase R appends each parked message's lane
-      // record to its owner's seg -- the exact structure route_one builds
-      // serially, because source order (shard-merged) and the slot -> owner
-      // map are thread-count independent. Worker 0 additionally takes the
-      // tag == T stream (routed by its packed finish key) and the violation
-      // count. No atomics anywhere: every written cell has exactly one
-      // owner. ---
-      const std::uint64_t num_dir_edges = graph_.num_directed_edges();
-      auto barrier_body = [&](std::uint32_t w) {
-        auto& ow = workers[w];
-        const auto elo =
-            static_cast<std::uint32_t>(num_dir_edges * w / num_workers);
-        const auto ehi =
-            static_cast<std::uint32_t>(num_dir_edges * (w + 1) / num_workers);
-        std::uint32_t local_max = 0;
-        for (std::uint32_t v = 0; v < num_workers; ++v) {
-          for (const auto d : workers[v].staged_edge) {
-            if (d >= elo && d < ehi) {
-              if (edge_count[d]++ == 0) ow.touched.push_back(d);
-            }
-          }
-        }
-        for (const auto d : ow.touched) {
-          local_max = std::max(local_max, edge_count[d]);
-          if (cfg_.enforce_unit_capacity && edge_count[d] > 1) {
-            DASCHED_CHECK_LE(edge_count[d], 1u,
-                             "CONGEST bandwidth violated: >1 message per edge per round");
-          }
-          edge_count[d] = 0;
-        }
-        ow.touched.clear();
-        ow.max_load_partial = local_max;
-        for (std::uint32_t v = 0; v < num_workers; ++v) {
-          auto& src = workers[v];
-          const std::size_t m = src.staged_hdr.size();
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::uint64_t ds = src.staged_dest[i];
-            const auto dest = static_cast<std::uint32_t>(ds >> 32);
-            if (dest >= kNeverDest) {
-              if (dest == kFinishDest && w == 0) {
-                scratch.finish_key.push_back(static_cast<std::uint32_t>(ds));
-                scratch.finish_hdr.push_back(src.staged_hdr[i]);
-                scratch.finish_pay.insert(scratch.finish_pay.end(),
-                                          src.staged_pay.data() + i * W,
-                                          src.staged_pay.data() + (i + 1) * W);
-              }
-              continue;
-            }
-            if (dest <= t) {
-              if (w == 0) ++ow.violations;
-              continue;
-            }
-            const auto slot = static_cast<std::uint32_t>(ds);
-            const auto* bound =
-                slot_bound.data() + std::size_t{dest} * (num_workers + 1);
-            if (slot < bound[w] || slot >= bound[w + 1]) continue;
-            auto& seg = acquire_seg(ow, dest);
-            seg.slot.push(slot);
-            seg.hdr.push(src.staged_hdr[i]);
-            std::memcpy(seg.pay.append_n(W), src.staged_pay.data() + i * W,
-                        W * sizeof(std::uint64_t));
-          }
-        }
-      };
-      pool_->run_static_ctx(num_workers, barrier_body);
-      for (auto& ws : workers) {
-        max_load = std::max(max_load, ws.max_load_partial);
-        ws.max_load_partial = 0;
-        ws.staged_hdr.clear();
-        ws.staged_pay.clear();
-        ws.staged_meta.clear();
-        ws.staged_edge.clear();
-        ws.staged_dest.clear();
-      }
-      result.causality_violations += workers[0].violations;
-      workers[0].violations = 0;
-      result.total_messages += fresh_this_round;
+      ws.touched.clear();
+      ws.staged_hdr.clear();
+      ws.staged_pay.clear();
+      ws.staged_meta.clear();
+      ws.staged_edge.clear();
+      ws.staged_dest.clear();
+    }
+    result.causality_violations += workers[0].violations;
+    workers[0].violations = 0;
+    result.total_messages += messages_this_round;
+    if (cfg_.enforce_unit_capacity && max_load > 1) {
+      // Post-mortem before the hard failure: the rings hold the deliveries
+      // leading up to the overflow.
+      if (recorder != nullptr) recorder->dump_on("unit_capacity_overflow");
+      DASCHED_CHECK_LE(max_load, 1u,
+                       "CONGEST bandwidth violated: >1 message per edge per round");
     }
     result.max_load_per_big_round[t] = max_load;
     result.max_edge_load = std::max(result.max_edge_load, max_load);
@@ -1343,7 +1288,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
 
   // Retransmissions may have extended the run past the scheduled horizon.
   result.num_big_rounds = horizon;
-  for (const auto& ws : workers) result.faults.skipped_events += ws.skipped;
+  for (const auto& ws : workers) add_fault_stats(result.faults, ws.faults);
 
   if (profiler != nullptr) profiler->end_run();
   if (recorder != nullptr && faults != nullptr && faults->num_crashes() > 0) {

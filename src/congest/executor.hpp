@@ -30,9 +30,12 @@
 // independent (each (alg, node) executes at most one event per big-round and
 // messages are staged until the round barrier), so the event bucket is
 // statically sharded across `ExecConfig::num_threads` pool workers with
-// per-shard staging buffers that are merged in shard order at the barrier.
-// The result is bit-identical to the serial path for every thread count; see
-// docs/PERFORMANCE.md for the argument and the measured scaling curve.
+// per-shard staging buffers. There is one delivery barrier: a per-worker body
+// in which each worker folds the loads of its directed-edge range and parks
+// the messages bound for its consumer tiles, reading the shards in shard
+// order; one worker is the same body run once. The result is bit-identical for
+// every thread count, tile size and observer; see docs/PERFORMANCE.md for the
+// argument and the measured scaling curve.
 //
 // Memory discipline: the message path is allocation-free in steady state.
 // Messages travel as compact SoA lanes sized to the *run width* W (see run()):
@@ -52,8 +55,9 @@
 //
 // Fault injection: an optional `ExecConfig::faults` hook models an unreliable
 // network (message drops/duplicates, link outages, crash-stop nodes). All
-// fault decisions happen at the (serial, shard-order-merged) delivery barrier
-// and are pure functions of the plan seed and the message identity, so faulty
+// fault decisions happen inside the delivery barrier and are pure functions
+// of the plan seed, the message identity and the attempt, and their
+// order-dependent consequences are taken in shard-merged order, so faulty
 // runs stay bit-identical across thread counts; with the hook null the
 // executor is byte-for-byte the reliable engine above. `ExecConfig::retry`
 // layers reliable delivery on top: dropped transmissions are re-sent with
@@ -128,11 +132,12 @@ struct ExecConfig {
   /// Enforce the raw CONGEST bound of one message per directed edge per
   /// big-round -- used by the solo Simulator where big-round == round.
   bool enforce_unit_capacity = false;
-  /// Worker threads for big-round execution. 0 and 1 both mean serial; N >= 2
-  /// spawns a pool of N workers (N - 1 threads plus the calling thread) that
-  /// is reused across big-rounds and runs. Every value produces bit-identical
-  /// ExecutionResults (asserted by tests/test_parallel_executor.cpp); pick
-  /// hardware concurrency for throughput (docs/PERFORMANCE.md).
+  /// Worker threads for big-round execution. 0 and 1 both mean one worker on
+  /// the calling thread; N >= 2 spawns a pool of N workers (N - 1 threads plus
+  /// the calling thread) that is reused across big-rounds and runs. Every
+  /// value produces bit-identical ExecutionResults (asserted by
+  /// tests/test_parallel_executor.cpp); pick hardware concurrency for
+  /// throughput (docs/PERFORMANCE.md).
   std::uint32_t num_threads = 0;
   /// Optional telemetry sink (borrowed; must outlive the Executor). Null --
   /// the default -- disables all instrumentation: the message hot path then
@@ -152,8 +157,8 @@ struct ExecConfig {
   /// default -- models the paper's perfectly reliable network; results are
   /// then bit-identical to a build without the fault subsystem, and no
   /// fault.* telemetry is emitted. When set, every transmission attempt
-  /// consults the injector at the delivery barrier (drops, duplicates, link
-  /// outages) and crash-stopped nodes skip their scheduled events; the run
+  /// consults the injector inside the delivery barrier (drops, duplicates,
+  /// link outages) and crash-stopped nodes skip their scheduled events; the run
   /// additionally fills ExecutionResult::faults and emits fault.* counters
   /// (docs/FAULTS.md lists them).
   const FaultInjector* faults = nullptr;
@@ -175,15 +180,18 @@ struct ExecConfig {
   /// the default -- leaves the engine byte-for-byte unprofiled. When set, the
   /// executor sizes the profiler once per run (begin_run, with retry
   /// headroom), bumps per-worker shard counters during event execution, and
-  /// records every touched (directed edge, big-round) load cell at the serial
-  /// delivery barrier -- so profiled runs stay bit-identical across thread
-  /// counts and allocation-free in steady state. The profiler only observes;
-  /// ExecutionResults are unchanged (tests/test_profiler.cpp pins both).
+  /// after each delivery barrier records every touched (big-round, directed
+  /// edge) load cell in ascending edge order, read from the workers' edge
+  /// ranges -- so profiled runs keep the parallel barrier, stay bit-identical
+  /// across thread counts and are allocation-free in steady state. The
+  /// profiler only observes; ExecutionResults are unchanged
+  /// (tests/test_profiler.cpp pins both).
   ExecProfiler* profiler = nullptr;
   /// Optional flight recorder (borrowed; must outlive the run). Null -- the
   /// default -- records nothing. When set, each worker logs its executions
-  /// and crash skips to its own bounded ring and the delivery barrier logs
-  /// per-message fates and per-round summaries; the executor dumps a
+  /// and crash skips to its own bounded ring, worker 0 logs the per-message
+  /// fates to the barrier ring in shard-merged order, and each round ends
+  /// with a summary entry there; the executor dumps a
   /// post-mortem JSON document (FlightRecorderConfig::dump_path) when the
   /// admission gate rejects a schedule, a unit-capacity round overflows, or
   /// crash-stop faults fired during the run. See docs/OBSERVABILITY.md.
@@ -286,11 +294,6 @@ class Executor {
   /// across widths >= what the algorithms actually send.
   ExecutionResult run(std::span<const DistributedAlgorithm* const> algorithms,
                       const ScheduleTable& schedule);
-
-  /// Convenience overload: materializes the callback into a ScheduleTable
-  /// (one call per slot) and runs it.
-  ExecutionResult run(std::span<const DistributedAlgorithm* const> algorithms,
-                      const ExecTimeFn& exec_time);
 
  private:
   /// The width-specialized engine body; W is the run width in payload words

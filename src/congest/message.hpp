@@ -124,39 +124,27 @@ class InlinePayload {
 
 using Payload = InlinePayload;
 
-/// A message as one owning value: sender plus full-capacity inline content.
-/// This is a *boundary* type (tests, examples, documentation of the logical
-/// record) -- the executor's staging and delivery lanes store the compact
-/// width-strided layout below instead, and programs read their inbox through
-/// MsgView/InboxView.
-struct VMessage {
-  NodeId from;
-  Payload payload;
-};
-
-// The executor's staging buffers and delivery arenas rely on messages being
+// The executor's staging buffers and delivery arenas rely on payloads being
 // raw relocatable bytes; see docs/PERFORMANCE.md.
 static_assert(std::is_trivially_copyable_v<InlinePayload>);
-static_assert(std::is_trivially_copyable_v<VMessage>);
-static_assert(std::is_trivially_destructible_v<VMessage>);
-static_assert(alignof(VMessage) == alignof(std::uint64_t));
 
 // ---------------------------------------------------------------------------
 // Compact lane layout (the width-dispatch layer).
 //
-// The executor never moves VMessage values through staging or the CSR inbox.
-// Messages travel as two parallel lanes sized once per run to the *run width*
-// W (the largest payload any admitted algorithm may send):
+// There is no owning message record: a message is a sender id plus a payload,
+// and the executor's staging and CSR inbox store it as two parallel lanes
+// sized once per run to the *run width* W (the largest payload any admitted
+// algorithm may send):
 //
 //   header lane : one u32 per message -- sender id and payload length packed
 //                 into 32 bits (see pack_msg_header below)
 //   payload lane: W u64 words per message, densely strided (message i's words
 //                 live at [i*W, i*W + W))
 //
-// so a delivered message costs 4 + 8*W bytes instead of sizeof(VMessage)
-// regardless of what the algorithms actually send. NodePrograms observe the
-// lanes through the view types below; nothing outside this layer may reason
-// about sizeof(VMessage) (lint_determinism.py enforces this).
+// so a delivered message costs 4 + 8*W bytes instead of a fixed worst-case
+// record. NodePrograms observe the lanes through the view types below; no
+// arena may be sized by a fixed-width message record (lint_determinism.py's
+// fixed-width-sizeof rule enforces this).
 
 /// Bits of the packed header reserved for the payload length. Sized to the
 /// compile-time inline capacity so raising DASCHED_PAYLOAD_INLINE_WORDS
@@ -232,9 +220,8 @@ class PayloadView {
   std::uint32_t len_ = 0;
 };
 
-/// A delivered message as seen by a NodeProgram: sender plus payload view.
-/// Structurally identical to VMessage from the program's point of view
-/// (`m.from`, `m.payload.at(0)`, ...) but borrows the arena lanes instead of
+/// A delivered message as seen by a NodeProgram: sender plus payload view
+/// (`m.from`, `m.payload.at(0)`, ...), borrowing the arena lanes instead of
 /// owning 8*kInlineCapacity payload bytes.
 struct MsgView {
   NodeId from;
@@ -243,8 +230,7 @@ struct MsgView {
 
 /// One node's inbox for one virtual round: `count` consecutive messages of a
 /// single (algorithm, round) bucket inside the compact lanes. Iteration
-/// yields MsgView values, so `for (const auto& m : ctx.inbox())` compiles and
-/// behaves exactly as it did over std::span<const VMessage>.
+/// yields MsgView values: `for (const auto& m : ctx.inbox())`.
 class InboxView {
  public:
   InboxView() = default;

@@ -11,10 +11,10 @@
 // indexed load, and the per-(alg, node) row is a span the executor can walk.
 //
 // Schedulers build tables directly (from per-algorithm delays, or slot by
-// slot), and the callback form survives as `ScheduleTable::from_fn` plus a
-// convenience `Executor::run` overload. Validation (gap-free round prefix per
-// (alg, node), strictly increasing big-rounds) stays in the executor, which
-// checks whatever table it is handed.
+// slot), and the callback form survives as `ScheduleTable::from_fn`.
+// Validation (gap-free round prefix per (alg, node), strictly increasing
+// big-rounds) stays in the executor, which checks whatever table it is
+// handed.
 #pragma once
 
 #include <cstdint>

@@ -303,15 +303,13 @@ void SchedulerDaemon::run_cohort(std::vector<Admitted> cohort, std::uint64_t tic
       continue;  // re-gate the surviving cohort
     }
 
-    // Admitted: run it, with the same verifier installed as the engine's
-    // admission gate (belt and braces -- it just passed statically).
-    verify::VerifyingAdmission gate(problem, opts);
+    // Admitted: run it. The gate above already proved this exact table, so
+    // the executor gets no admission gate of its own.
     ExecConfig ec;
     ec.max_payload_words = cfg_.max_payload_words;
     ec.tile_bytes = cfg_.tile_bytes;
     ec.num_threads = cfg_.num_threads;
     ec.telemetry = cfg_.telemetry;
-    ec.admission = &gate;
     Executor executor(graph_, ec);
     const ExecutionResult exec = executor.run(algorithms, table);
 

@@ -29,8 +29,8 @@
 //               entry surfaces here as an error finding attributed to the
 //               offending job, which is then re-profiled from scratch and
 //               requeued (and rejected kVerifyFailed if it fails again).
-//               The same options are installed as the executor's
-//               VerifyingAdmission gate, so nothing unverified ever runs.
+//               Only a cohort the gate admitted is executed, so nothing
+//               unverified ever runs.
 //   execute     The admitted cohort runs on the engine; per-job completion is
 //               checked against the solo ground truth, and the execution
 //               fingerprint is folded into the service fingerprint.

@@ -125,12 +125,6 @@ void ExecProfiler::end_run() {
   cells_high_water_ = std::max(cells_high_water_, cells_.size());
 }
 
-std::vector<LoadCell> ExecProfiler::sorted_cells() const {
-  std::vector<LoadCell> out = cells_;
-  sort_load_cells(out, num_edges_);
-  return out;
-}
-
 std::vector<ExecProfiler::EdgeSummary> ExecProfiler::top_edges(std::size_t n) const {
   std::vector<EdgeSummary> all;
   all.reserve(num_edges_);

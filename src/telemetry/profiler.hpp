@@ -19,10 +19,14 @@
 //     Executor onwards, the big-round loop performs zero heap allocations
 //     with the profiler attached (tests/test_profiler.cpp measures this).
 //   * Per-worker shards: event/inbox counters are bumped by the executing
-//     shard (no sharing, no atomics) and merged in shard order at the serial
+//     shard (no sharing, no atomics) and merged in shard order after each
 //     delivery barrier. Merged values are sums over a round, so every
 //     snapshot is bit-identical across thread counts -- same guarantee as
 //     ExecutionResult itself.
+//   * Cells arrive after each barrier from the workers' directed-edge ranges
+//     in worker order, i.e. in ascending edge order, so cells() is
+//     (big_round, edge)-sorted and identical for every thread count; the
+//     barrier itself stays parallel with the profiler attached.
 //   * The profiler only observes: attaching it never changes execution
 //     results (pinned by the golden-fingerprint tests), and a null
 //     ExecConfig::profiler leaves the engine byte-for-byte unprofiled.
@@ -67,8 +71,8 @@ struct LoadCell {
 /// num_directed_edges), then by the low and the high 16-bit big-round digit,
 /// each skipped when one bucket holds every cell. No counting array is sized
 /// by a big-round value, so a malformed schedule with slots near
-/// kNeverScheduled costs no more memory than a clean one. Both the
-/// verifier's static loads and ExecProfiler::sorted_cells() come out of it.
+/// kNeverScheduled costs no more memory than a clean one. The verifier's
+/// static loads come out of it, in the order ExecProfiler::cells() has.
 void sort_load_cells(std::vector<LoadCell>& cells, std::uint32_t num_directed_edges);
 
 class ExecProfiler {
@@ -103,7 +107,8 @@ class ExecProfiler {
                  std::uint32_t num_workers, std::uint32_t round_headroom,
                  std::uint32_t tile_events = 0);
 
-  /// Hot path, serial barrier: one touched (edge, big-round) cell.
+  /// After each delivery barrier: one touched (edge, big-round) cell, in
+  /// ascending (big_round, edge) order.
   void record_cell(std::uint32_t big_round, std::uint32_t edge, std::uint32_t load) {
     cells_.push_back({big_round, edge, load});
     edge_total_[edge] += load;
@@ -118,7 +123,7 @@ class ExecProfiler {
   /// synchronization (each worker owns its shard), merged by end_round().
   WorkerShard* shards() { return shards_.data(); }
 
-  /// Serial barrier epilogue: folds the worker shards (in shard order -- the
+  /// Barrier epilogue, on the calling thread: folds the worker shards (in shard order -- the
   /// same deterministic order the staging buffers merge in) into this round's
   /// SoA slots and resets them for the next round.
   void end_round(std::uint32_t big_round, std::uint64_t messages,
@@ -151,13 +156,10 @@ class ExecProfiler {
     return {round_max_load_.data(), rounds_used_};
   }
 
-  /// Every touched cell of the last run in barrier order (rounds ascending,
-  /// first-touch order within a round). Deterministic across thread counts.
+  /// Every touched cell of the last run, strictly increasing in
+  /// (big_round, edge) -- the join key the divergence monitor and the
+  /// verifier's static load table share. Identical across thread counts.
   const std::vector<LoadCell>& cells() const { return cells_; }
-  /// The cells sorted by (big_round, edge) -- the join key the divergence
-  /// monitor and the verifier's static load table share -- by the same
-  /// linear-time sort_load_cells() the verifier uses.
-  std::vector<LoadCell> sorted_cells() const;
 
   /// The n busiest directed edges by total load (ties broken by edge id).
   std::vector<EdgeSummary> top_edges(std::size_t n) const;
@@ -216,7 +218,7 @@ class ExecProfiler {
   std::vector<std::uint64_t> round_inbox_;
   std::vector<std::uint64_t> round_retries_;
 
-  // Sparse touched cells, barrier order; capacity reused across runs.
+  // Sparse touched cells, (big_round, edge) order; capacity reused across runs.
   std::vector<LoadCell> cells_;
 
   LogHistogram hist_cell_load_;

@@ -248,8 +248,8 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
     report.measured.max_edge_load = std::max(report.measured.max_edge_load, load);
     if (static_loads != nullptr) {
       // The run-length groups come out sorted by (big_round, edge) -- the
-      // exact order ExecProfiler::sorted_cells() uses, so the surfaces join
-      // with one linear merge.
+      // order ExecProfiler::cells() has, so the surfaces join with one
+      // linear merge.
       static_loads->push_back({loads[i].big_round, loads[i].edge, load});
     }
     if (opts.congestion_budget > 0 && load > opts.congestion_budget) {

@@ -312,33 +312,53 @@ FaultPlan messy_plan(const Graph& g) {
 }
 
 TEST(FaultExecutor, FaultyRunIsThreadCountInvariant) {
+  // Fates are decided inside the delivery barrier, by whichever workers need
+  // them: the fault accounting must not depend on how many there are or how
+  // the consumer tiles are cut. Both reliable-layer regimes: raw duplicates
+  // (no retries) and retransmissions that outrun the scheduled horizon.
   const auto in = make_instance();
   const FaultInjector injector(in.g, messy_plan(in.g));
-  const RetryPolicy retry{2};
-  const auto stretched = stretch_for_retries(in.schedule, retry);
 
-  auto run_with = [&](std::uint32_t threads, MetricsRegistry* metrics) {
-    ExecConfig cfg;
-    cfg.num_threads = threads;
-    cfg.telemetry = metrics;
-    cfg.faults = &injector;
-    cfg.retry = retry;
-    return Executor(in.g, cfg).run(in.algos, stretched);
-  };
+  for (const std::uint32_t max_retries : {0u, 2u}) {
+    SCOPED_TRACE("max_retries=" + std::to_string(max_retries));
+    const RetryPolicy retry{max_retries};
+    const auto stretched = stretch_for_retries(in.schedule, retry);
+    auto run_with = [&](std::uint32_t threads, std::size_t tile_bytes,
+                        MetricsRegistry* metrics) {
+      ExecConfig cfg;
+      cfg.num_threads = threads;
+      cfg.tile_bytes = tile_bytes;
+      cfg.telemetry = metrics;
+      cfg.faults = &injector;
+      cfg.retry = retry;
+      return Executor(in.g, cfg).run(in.algos, stretched);
+    };
 
-  MetricsRegistry serial_metrics;
-  const auto serial = run_with(0, &serial_metrics);
-  EXPECT_GT(serial.faults.dropped(), 0u);
-  EXPECT_GT(serial.faults.retransmissions, 0u);
-  EXPECT_GT(serial.faults.skipped_events, 0u);
+    MetricsRegistry serial_metrics;
+    const auto serial = run_with(0, kDefaultTileBytes, &serial_metrics);
+    EXPECT_GT(serial.faults.dropped(), 0u);
+    EXPECT_GT(serial.faults.skipped_events, 0u);
+    if (max_retries == 0) {
+      EXPECT_GT(serial.faults.duplicated, 0u);
+    } else {
+      EXPECT_GT(serial.faults.retransmissions, 0u);
+      EXPECT_GT(serial.faults.duplicates_suppressed, 0u);
+      EXPECT_GT(serial.num_big_rounds, Executor(in.g).run(in.algos, stretched).num_big_rounds)
+          << "retransmissions must extend the horizon past the schedule";
+    }
 
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MetricsRegistry metrics;
-    const auto r = run_with(threads, &metrics);
-    expect_identical(serial, r);
-    for (const char* name : kFaultCounters) {
-      EXPECT_EQ(metrics.counter(name), serial_metrics.counter(name)) << name;
+    for (const std::size_t tile_bytes :
+         {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
+      for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " tile_bytes=" + std::to_string(tile_bytes));
+        MetricsRegistry metrics;
+        const auto r = run_with(threads, tile_bytes, &metrics);
+        expect_identical(serial, r);
+        for (const char* name : kFaultCounters) {
+          EXPECT_EQ(metrics.counter(name), serial_metrics.counter(name)) << name;
+        }
+      }
     }
   }
 }

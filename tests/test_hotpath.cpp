@@ -29,8 +29,6 @@ namespace {
 // --- InlinePayload semantics. ---
 
 static_assert(std::is_trivially_copyable_v<InlinePayload>);
-static_assert(std::is_trivially_copyable_v<VMessage>);
-static_assert(std::is_trivially_destructible_v<VMessage>);
 static_assert(InlinePayload::kInlineCapacity >= kDefaultMaxPayloadWords);
 
 TEST(InlinePayload, BasicSemantics) {
@@ -359,7 +357,7 @@ struct WidthGolden {
   std::uint64_t faulty;
 };
 
-// Captured from the pre-change engine (fixed-width VMessage arenas); see the
+// Captured from the pre-change engine (fixed-width message records); see the
 // section comment above. Do not regenerate.
 constexpr WidthGolden kWidthGoldens[] = {
     {1u, 0x8086ca339a15e153ull, 0xebb394a98fb09179ull},

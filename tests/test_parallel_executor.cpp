@@ -115,17 +115,23 @@ TEST(ParallelExecutor, SharedSchedulerScheduleIsThreadCountInvariant) {
   const auto baseline = Executor(g, serial_cfg).run(algos, schedule);
   EXPECT_TRUE(problem->verify(baseline).ok());
 
-  for (const auto threads : kThreadCounts) {
-    ExecConfig cfg;
-    cfg.record_patterns = true;
-    cfg.num_threads = threads;
-    const auto result = Executor(g, cfg).run(algos, schedule);
-    expect_identical(baseline, result, threads);
-    ASSERT_EQ(baseline.patterns.size(), result.patterns.size());
-    for (std::size_t a = 0; a < algos.size(); ++a) {
-      SCOPED_TRACE("algorithm " + std::to_string(a) + " at " +
-                   std::to_string(threads) + " threads");
-      expect_identical_patterns(baseline.patterns[a], result.patterns[a]);
+  // Patterns are worker 0's stream inside the one delivery barrier: the same
+  // at every thread count and tile size.
+  for (const std::size_t tile_bytes :
+       {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
+    for (const auto threads : kThreadCounts) {
+      ExecConfig cfg;
+      cfg.record_patterns = true;
+      cfg.num_threads = threads;
+      cfg.tile_bytes = tile_bytes;
+      const auto result = Executor(g, cfg).run(algos, schedule);
+      expect_identical(baseline, result, threads);
+      ASSERT_EQ(baseline.patterns.size(), result.patterns.size());
+      for (std::size_t a = 0; a < algos.size(); ++a) {
+        SCOPED_TRACE("algorithm " + std::to_string(a) + " at " + std::to_string(threads) +
+                     " threads, tile_bytes " + std::to_string(tile_bytes));
+        expect_identical_patterns(baseline.patterns[a], result.patterns[a]);
+      }
     }
   }
 }

@@ -16,9 +16,13 @@
 //     post-mortem dump before the engine aborts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "congest/executor.hpp"
 #include "fault/fault_injector.hpp"
@@ -30,6 +34,7 @@
 #include "sched/workloads.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json.hpp"
+#include "telemetry/metrics_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/alloc_counter.hpp"
 #include "verify/divergence.hpp"
@@ -87,7 +92,7 @@ void expect_identical(const ExecutionResult& a, const ExecutionResult& b) {
 /// Everything a profiled run exposes, flattened for equality comparison
 /// across thread counts.
 struct ProfilerSnapshot {
-  std::vector<LoadCell> cells;  // barrier order, not sorted
+  std::vector<LoadCell> cells;  // recorded order: (big_round, edge)-sorted
   std::vector<std::uint64_t> round_messages, round_events, round_inbox,
       round_retries;
   std::vector<std::uint32_t> round_max;
@@ -181,7 +186,49 @@ TEST(Profiler, TopEdgeAndRoundViewsAreConsistent) {
 // --- Determinism: profiled runs are thread-count invariant, snapshot
 // included. ---
 
+/// A flight-recorder dump reduced to what the thread count cannot change:
+/// the barrier ring entry for entry, and the multiset of the worker rings'
+/// entries (which worker executes an event depends on the partition).
+struct RecorderView {
+  std::vector<std::string> barrier;
+  std::vector<std::string> worker_entries;  // sorted
+  friend bool operator==(const RecorderView&, const RecorderView&) = default;
+};
+
+RecorderView recorder_view(const FlightRecorder& recorder) {
+  RecorderView view;
+  const auto doc = json::parse(recorder.to_json("matrix"));
+  for (const auto& ring : doc->get("rings")->array) {
+    EXPECT_EQ(ring->get("dropped")->number, 0.0) << "ring overflow would hide entries";
+    auto& out = ring->get("ring")->string == "barrier" ? view.barrier : view.worker_entries;
+    for (const auto& entry : ring->get("entries")->array) {
+      std::string line;
+      for (const auto& [key, value] : entry->object) {
+        line += key + "=" +
+                (value->is_string() ? value->string : std::to_string(value->number)) + ";";
+      }
+      out.push_back(std::move(line));
+    }
+  }
+  std::sort(view.worker_entries.begin(), view.worker_entries.end());
+  return view;
+}
+
+/// Every observer attached at once, and what each of them saw.
+struct ObservedRun {
+  ExecutionResult result;
+  ProfilerSnapshot profile;
+  RecorderView recorder;
+  std::vector<std::vector<std::uint32_t>> patterns;  // edges per (alg, round)
+  std::map<std::string, std::uint64_t, std::less<>> counters;
+  std::vector<double> edge_load_samples;  // sorted
+};
+
 TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
+  // Profiler, flight recorder, telemetry and record_patterns all attached:
+  // none of them serializes the delivery barrier any more, so each must see
+  // the same thing at every thread count and tile size, on a reliable run
+  // and on a faulty one whose retransmissions extend the horizon.
   const auto in = make_instance();
   const FaultInjector injector(in.g, [&] {
     FaultPlan plan;
@@ -193,28 +240,83 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
   const RetryPolicy retry{2};
   const auto stretched = stretch_for_retries(in.schedule, retry);
 
-  auto run_with = [&](std::uint32_t threads, bool faulty, ExecProfiler* profiler) {
+  auto run_with = [&](std::uint32_t threads, std::size_t tile_bytes, bool faulty) {
+    ExecProfiler profiler;
+    FlightRecorderConfig fcfg;
+    fcfg.capacity = 1u << 15;  // no ring wraps: dumps are compared whole
+    FlightRecorder recorder(fcfg);
+    MetricsRegistry metrics;
+    metrics.keep_all_samples();
     ExecConfig cfg;
     cfg.num_threads = threads;
-    cfg.profiler = profiler;
+    cfg.tile_bytes = tile_bytes;
+    cfg.profiler = &profiler;
+    cfg.recorder = &recorder;
+    cfg.telemetry = &metrics;
+    cfg.record_patterns = true;
     if (faulty) {
       cfg.faults = &injector;
       cfg.retry = retry;
     }
-    return Executor(in.g, cfg).run(in.algos, faulty ? stretched : in.schedule);
+    ObservedRun run;
+    run.result = Executor(in.g, cfg).run(in.algos, faulty ? stretched : in.schedule);
+    run.profile = snapshot(profiler);
+    run.recorder = recorder_view(recorder);
+    for (const auto& pattern : run.result.patterns) {
+      for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
+        const auto edges = pattern.edges_in_round(r);
+        run.patterns.emplace_back(edges.begin(), edges.end());
+      }
+    }
+    for (const auto& [name, value] : metrics.counters()) {
+      // The split of rounds between inline and pooled execution is the one
+      // telemetry value that legitimately follows the thread count.
+      if (name.rfind("executor.parallel.", 0) != 0) run.counters.emplace(name, value);
+    }
+    run.edge_load_samples = metrics.histogram("executor.edge_load")->sorted();
+    return run;
   };
 
   for (const bool faulty : {false, true}) {
-    ExecProfiler serial_profiler;
-    const auto serial = run_with(0, faulty, &serial_profiler);
-    const auto baseline = snapshot(serial_profiler);
-    EXPECT_FALSE(baseline.cells.empty());
-    for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
-      ExecProfiler profiler;
-      const auto r = run_with(threads, faulty, &profiler);
-      expect_identical(serial, r);
-      EXPECT_EQ(snapshot(profiler), baseline)
-          << "threads=" << threads << " faulty=" << faulty;
+    SCOPED_TRACE(faulty ? "faulty" : "reliable");
+    std::optional<ObservedRun> first;
+    for (const std::size_t tile_bytes :
+         {arena_message_bytes(kDefaultMaxPayloadWords), kDefaultTileBytes}) {
+      const auto baseline = run_with(0, tile_bytes, faulty);
+      const auto& cells = baseline.profile.cells;
+      ASSERT_FALSE(cells.empty());
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        ASSERT_TRUE(cells[i - 1] < cells[i]) << "cells() not strictly increasing at " << i;
+      }
+      EXPECT_EQ(baseline.edge_load_samples.size(), cells.size());
+      EXPECT_FALSE(baseline.patterns.empty());
+      if (faulty) {
+        EXPECT_GT(baseline.result.faults.retransmissions, 0u);
+        EXPECT_GT(baseline.result.num_big_rounds,
+                  Executor(in.g).run(in.algos, stretched).num_big_rounds)
+            << "retransmissions must extend the horizon past the schedule";
+      }
+      for (const std::uint32_t threads : {1u, 2u, 4u, 7u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " tile_bytes=" + std::to_string(tile_bytes));
+        const auto r = run_with(threads, tile_bytes, faulty);
+        expect_identical(baseline.result, r.result);
+        EXPECT_EQ(r.profile, baseline.profile);
+        EXPECT_EQ(r.recorder, baseline.recorder);
+        EXPECT_EQ(r.patterns, baseline.patterns);
+        EXPECT_EQ(r.counters, baseline.counters);
+        EXPECT_EQ(r.edge_load_samples, baseline.edge_load_samples);
+      }
+      // Across tile sizes only the profile JSON's tile_events field moves.
+      if (first) {
+        expect_identical(first->result, baseline.result);
+        EXPECT_EQ(first->profile.cells, baseline.profile.cells);
+        EXPECT_EQ(first->recorder, baseline.recorder);
+        EXPECT_EQ(first->patterns, baseline.patterns);
+        EXPECT_EQ(first->counters, baseline.counters);
+      } else {
+        first = baseline;
+      }
     }
   }
 }
@@ -234,7 +336,7 @@ TEST(Divergence, MeasuredEqualsPredictedOnReliableRuns) {
   (void)Executor(in.g, cfg).run(in.algos, in.schedule);
 
   // Exact equality, cell for cell: the static model IS the reliable network.
-  EXPECT_TRUE(profiler.sorted_cells() == predicted);
+  EXPECT_TRUE(profiler.cells() == predicted);
 
   verify::DivergenceOptions opts;
   opts.scheduled_big_rounds = vreport.measured.big_rounds;

@@ -382,6 +382,33 @@ TEST(Daemon, ServesAStreamToQuiescence) {
   EXPECT_GE(result.latency_p99, result.latency_p50);
 }
 
+/// Counts verifier spans; every other telemetry call is ignored.
+class CheckSpanCounter : public TelemetrySink {
+ public:
+  void add_counter(std::string_view, std::uint64_t) override {}
+  void set_gauge(std::string_view, double) override {}
+  void record_value(std::string_view, double) override {}
+  void record_span(std::string_view category, std::string_view name, std::uint64_t,
+                   std::uint64_t, std::span<const SpanArg>) override {
+    if (category == "verify" && name == "check_schedule") ++check_spans;
+  }
+  std::uint64_t check_spans = 0;
+};
+
+TEST(Daemon, VerifiesEachComposedScheduleExactlyOnce) {
+  // The gate is the only verifier run per composed schedule: the admitted
+  // cohort executes without a second, identical admission check.
+  const Graph g = test_graph();
+  const auto stream = service::generate_job_stream(stream_config(), g.num_nodes());
+  CheckSpanCounter sink;
+  ServiceConfig cfg;
+  cfg.telemetry = &sink;
+  SchedulerDaemon daemon(g, cfg);
+  const ServiceResult result = daemon.serve(stream);
+  EXPECT_GT(result.stats.executions, 0u);
+  EXPECT_EQ(sink.check_spans, result.stats.gate_runs);
+}
+
 TEST(Daemon, RepeatTenantsHitTheProfileCache) {
   const Graph g = test_graph();
   const auto stream =

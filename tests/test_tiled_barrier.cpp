@@ -1,20 +1,26 @@
-// The tiled parallel delivery barrier (congest/executor.cpp,
-// docs/PERFORMANCE.md): end-of-big-round delivery runs as a tiled counting
-// sort -- per-worker histograms over statically owned consumer tiles, exact
-// CSR offsets from a deterministic prefix-sum, parallel scatter with no
-// atomics -- and must stay bit-identical to the serial delivery order in
-// every geometry. These tests drive the barrier's edge cases:
+// The tiled delivery barrier (congest/executor.cpp, docs/PERFORMANCE.md):
+// end-of-big-round delivery runs as a tiled counting sort -- per-worker
+// histograms over statically owned consumer tiles, exact CSR offsets from a
+// deterministic prefix-sum, parallel scatter with no atomics -- and must stay
+// bit-identical to the one-worker run in every geometry. These tests drive
+// the barrier's edge cases:
 //   * big-rounds with no messages at all (scaled schedules interleave empty
 //     rounds between populated ones),
 //   * tile_bytes as a pure tuning knob: tiny tiles (every tile over-full,
 //     many more tiles than workers) through giant tiles (one tile for the
 //     whole bucket, fewer tiles than workers),
 //   * a unit-capacity overflow detected inside the parallel barrier (death
-//     test on a round provably routed through the tiled path),
+//     tests on a round provably dispatched to the pool), which leaves exactly
+//     one flight-recorder dump,
 //   * retries on faulty runs landing in their owner's tile deterministically
 //     across thread counts,
 //   * zero steady-state allocations through the tiled path.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "congest/executor.hpp"
 #include "fault/fault_injector.hpp"
@@ -23,6 +29,8 @@
 #include "graph/generators.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
+#include "telemetry/flight_recorder.hpp"
+#include "telemetry/json.hpp"
 
 namespace dasched {
 namespace {
@@ -186,8 +194,8 @@ TEST(TiledBarrier, AllNeverScheduledIsANoop) {
 // algorithms (every node floods every neighbor every round) scheduled in
 // lockstep put load 2 on every directed edge of every big-round, and
 // big-round 0 already carries 2 * num_directed_edges messages -- far past
-// the parallel-barrier threshold -- so the overflow CHECK fires from a
-// worker thread during the parallel edge-accounting phase. ---
+// the parallel-barrier threshold -- so the overflow is found by the pool
+// workers' edge folds and reported once, after the dispatch. ---
 
 class ChatterProgram final : public NodeProgram {
  public:
@@ -223,6 +231,56 @@ TEST(TiledBarrierDeathTest, UnitCapacityOverflowDiesOnTheParallelPath) {
   cfg.num_threads = 4;
   EXPECT_DEATH((void)Executor(g, cfg).run(algos, lockstep),
                "CONGEST bandwidth violated");
+}
+
+TEST(TiledBarrierDeathTest, UnitCapacityOverflowWritesExactlyOneRecorderDump) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(11);
+  const auto g = make_gnp_connected(150, 6.0 / 150, rng);
+  ASSERT_GE(2u * g.num_directed_edges(), 256u);
+
+  const ChatterAlgorithm a0, a1;
+  const DistributedAlgorithm* algos[] = {&a0, &a1};
+  const auto lockstep = ScheduleTable::lockstep(algos, g.num_nodes());
+
+  const std::string path = testing::TempDir() + "dasched_unit_capacity_dump.json";
+  std::remove(path.c_str());
+  FlightRecorderConfig fcfg;
+  fcfg.dump_path = path;
+  fcfg.capacity = 1u << 12;
+  FlightRecorder recorder(fcfg);
+  ExecConfig cfg;
+  cfg.enforce_unit_capacity = true;
+  cfg.num_threads = 4;
+  cfg.recorder = &recorder;
+  EXPECT_DEATH((void)Executor(g, cfg).run(algos, lockstep),
+               "CONGEST bandwidth violated");
+
+  // The child wrote one whole post-mortem before aborting: one document, the
+  // overflow as its reason, and every round-0 delivery in the barrier ring
+  // but no round-0 summary (the dump precedes it).
+  std::ifstream is(path);
+  ASSERT_TRUE(is.good());
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const std::string text = ss.str();
+  std::size_t documents = 0;
+  for (auto at = text.find("\"schema\""); at != std::string::npos;
+       at = text.find("\"schema\"", at + 1)) {
+    ++documents;
+  }
+  EXPECT_EQ(documents, 1u);
+  const auto doc = json::parse(text);
+  ASSERT_NE(doc, nullptr);
+  EXPECT_EQ(doc->get("reason")->string, "unit_capacity_overflow");
+  EXPECT_EQ(doc->get("workers")->number, 4.0);
+  const auto& barrier = *doc->get("rings")->array.back();
+  EXPECT_EQ(barrier.get("ring")->string, "barrier");
+  EXPECT_EQ(barrier.get("recorded")->number, 2.0 * g.num_directed_edges());
+  for (const auto& entry : barrier.get("entries")->array) {
+    EXPECT_EQ(entry->get("kind")->string, "deliver");
+  }
+  std::remove(path.c_str());
 }
 
 // --- Faulty runs: retransmissions re-enter the barrier rounds later and must
