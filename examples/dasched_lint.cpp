@@ -208,21 +208,13 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     *table = ScheduleTable::lockstep(problem.algorithm_ptrs(),
                                      problem.graph().num_nodes());
     vopts->congestion_budget = 1;
-    std::vector<std::uint8_t> used(problem.graph().num_directed_edges());
-    std::uint32_t max_round = 0;
-    for (std::size_t a = 0; a < problem.size(); ++a) {
-      max_round = std::max(max_round, problem.solo()[a].pattern.last_message_round());
+    std::vector<LoadCell> all;
+    for (const auto& solo : problem.solo()) {
+      all.insert(all.end(), solo.pattern.begin(), solo.pattern.end());
     }
-    for (std::uint32_t r = 1; r <= max_round; ++r) {
-      std::fill(used.begin(), used.end(), std::uint8_t{0});
-      for (std::size_t a = 0; a < problem.size(); ++a) {
-        for (const auto d : problem.solo()[a].pattern.edges_in_round(r)) {
-          if (used[d] != 0) return true;  // two algorithms collide here
-          used[d] = 1;
-        }
-      }
-    }
-    return false;
+    coalesce_load_cells(all, problem.graph().num_directed_edges());
+    // Two algorithms collide on some cell.
+    return std::any_of(all.begin(), all.end(), [](const LoadCell& c) { return c.load > 1; });
   }
   if (opt.corrupt == "causality") {
     // Pull the most-delayed algorithm's rows at one node up to lockstep: its
@@ -247,22 +239,28 @@ bool corrupt_schedule(const Options& opt, const ScheduleProblem& problem,
     // Truncate one sender mid-pattern while its consumers stay scheduled:
     // the discard is not causally closed (Lemma 4.4).
     DASCHED_CHECK_MSG(problem.solo_done(), "corrupt_schedule needs solo patterns");
+    const auto sender_of = [&](const LoadCell& c) {
+      const auto [lo, hi] = problem.graph().endpoints(c.edge / 2);
+      return (c.edge % 2 == 0) ? lo : hi;
+    };
     for (std::size_t a = 0; a < table->num_algorithms(); ++a) {
       const auto& pattern = problem.solo()[a].pattern;
       const std::uint32_t rounds = table->rounds(a);
-      for (std::uint32_t r = pattern.last_message_round(); r >= 1; --r) {
-        if (r >= rounds) continue;  // round-`rounds` messages feed on_finish
-        const auto edges = pattern.edges_in_round(r);
-        if (edges.empty()) continue;
-        const std::uint32_t d = edges[0];
-        const auto [lo, hi] = problem.graph().endpoints(d / 2);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        const auto slots = table->row_mut(a, sender);
-        for (std::uint32_t rr = r; rr <= rounds; ++rr) {
-          slots[rr - 1] = kNeverScheduled;
-        }
-        return true;
+      // The last round before `rounds` that sends (round-`rounds` messages
+      // feed on_finish), and its lowest-numbered sender.
+      const auto last = std::find_if(pattern.rbegin(), pattern.rend(), [&](const LoadCell& c) {
+        return c.big_round + 1 < rounds;
+      });
+      if (last == pattern.rend()) continue;
+      NodeId sender = sender_of(*last);
+      for (const auto& c : cells_in_round(pattern, last->big_round)) {
+        sender = std::min(sender, sender_of(c));
       }
+      const auto slots = table->row_mut(a, sender);
+      for (std::uint32_t rr = last->big_round + 1; rr <= rounds; ++rr) {
+        slots[rr - 1] = kNeverScheduled;
+      }
+      return true;
     }
     return false;
   }

@@ -11,14 +11,17 @@ namespace {
 
 constexpr std::uint64_t kNoOutput = ~std::uint64_t{0};
 
-/// Finalizes an exact certificate from a fully recorded surface.
-void seal_exact(PatternCertificate& cert, CommunicationPattern pattern) {
+/// Finalizes an exact certificate from the recorded (round - 1, edge) cells.
+void seal_exact(const Graph& g, PatternCertificate& cert, std::vector<LoadCell> pattern) {
+  coalesce_load_cells(pattern, g.num_directed_edges());
   cert.kind = CertificateKind::kExact;
-  cert.congestion = pattern.max_edge_load();
+  cert.num_directed_edges = g.num_directed_edges();
+  cert.congestion = max_edge_total(pattern, cert.num_directed_edges);
   cert.per_cell_bound = 1;
   cert.per_edge_bound = cert.congestion;
-  cert.total_messages = pattern.total_messages();
-  cert.last_message_round = pattern.last_message_round();
+  cert.total_messages = 0;
+  for (const auto& c : pattern) cert.total_messages += c.load;
+  cert.last_message_round = pattern.empty() ? 0 : pattern.back().big_round + 1;
   cert.pattern = std::move(pattern);
 }
 
@@ -30,12 +33,12 @@ void analyze_flood(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   DASCHED_CHECK(fp.source < g.num_nodes());
   const auto dist = bfs_distances(g, fp.source);
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<LoadCell> pattern;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (dist[v] == kUnreachable || dist[v] + 1 > T) continue;
-    for (const std::uint32_t d : g.directed_ids(v)) pattern.record(dist[v] + 1, d);
+    for (const std::uint32_t d : g.directed_ids(v)) pattern.push_back({dist[v], d, 1});
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(g, cert, std::move(pattern));
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());
@@ -77,14 +80,14 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
   DASCHED_CHECK(h >= 1);
   const auto dist = bfs_distances_capped(g, fp.source, h);
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<LoadCell> pattern;
   std::vector<NodeId> parent(g.num_nodes(), kInvalidNode);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const std::uint32_t q = dist[v];
     if (q == kUnreachable) continue;
     if (q + 1 <= h) {
-      for (const std::uint32_t d : g.directed_ids(v)) pattern.record(q + 1, d);
-      for (const std::uint32_t d : g.directed_ids(v)) pattern.record(2 * h + 2 + q, d);
+      for (const std::uint32_t d : g.directed_ids(v)) pattern.push_back({q, d, 1});
+      for (const std::uint32_t d : g.directed_ids(v)) pattern.push_back({2 * h + 1 + q, d, 1});
     }
     if (q >= 1) {
       for (const auto& nb : g.neighbors(v)) {
@@ -94,10 +97,10 @@ void analyze_aggregate(const Graph& g, const StaticFootprint& fp, std::uint64_t 
         }
       }
       DASCHED_CHECK(parent[v] != kInvalidNode);
-      pattern.record(2 * h + 1 - q, g.directed_id(g.find_edge(v, parent[v]), v));
+      pattern.push_back({2 * h - q, g.directed_id(g.find_edge(v, parent[v]), v), 1});
     }
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(g, cert, std::move(pattern));
 
   // Subtree sums: fold depths h..1 into their parents, then the root's sum is
   // the global aggregate the result flood distributes.
@@ -139,21 +142,21 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
   rng.reserve(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) rng.emplace_back(seed_combine(base_seed, v));
 
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<LoadCell> pattern;
   std::vector<NodeId> newly_informed;
   for (std::uint32_t r = 1; r <= T; ++r) {
     newly_informed.clear();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (informed_round[v] >= r || g.degree(v) == 0) continue;
       const auto pick = rng[v].next_below(g.degree(v));
-      pattern.record(r, g.directed_ids(v)[pick]);
+      pattern.push_back({r - 1, g.directed_ids(v)[pick], 1});
       const NodeId to = g.neighbors(v)[pick].neighbor;
       if (informed_round[to] == uninformed) newly_informed.push_back(to);
     }
     // Recipients of round-r messages absorb them in round r+1 (or on_finish).
     for (const NodeId v : newly_informed) informed_round[v] = r;
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(g, cert, std::move(pattern));
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());
@@ -167,13 +170,13 @@ void analyze_gossip(const Graph& g, const StaticFootprint& fp, std::uint32_t T,
 /// kFixedPath: round r carries exactly path[r-1] -> path[r].
 void analyze_path(const Graph& g, const StaticFootprint& fp, PatternCertificate& cert) {
   DASCHED_CHECK_MSG(fp.path.size() >= 2, "fixed-path footprint needs >= 1 edge");
-  CommunicationPattern pattern(g.num_directed_edges());
+  std::vector<LoadCell> pattern;
   for (std::size_t i = 0; i + 1 < fp.path.size(); ++i) {
     const EdgeId e = g.find_edge(fp.path[i], fp.path[i + 1]);
     DASCHED_CHECK_MSG(e != kInvalidEdge, "fixed-path footprint hops a non-edge");
-    pattern.record(static_cast<std::uint32_t>(i + 1), g.directed_id(e, fp.path[i]));
+    pattern.push_back({static_cast<std::uint32_t>(i), g.directed_id(e, fp.path[i]), 1});
   }
-  seal_exact(cert, std::move(pattern));
+  seal_exact(g, cert, std::move(pattern));
 
   cert.has_outputs = true;
   cert.outputs.resize(g.num_nodes());

@@ -50,8 +50,11 @@ struct PatternCertificate {
   /// Last sending round: exact for kExact, else an upper bound (<= rounds).
   std::uint32_t last_message_round = 0;
 
-  /// The derived load surface; populated iff kind == kExact.
-  CommunicationPattern pattern;
+  /// The derived load surface (congest/pattern.hpp, big_round = round - 1);
+  /// populated iff kind == kExact.
+  std::vector<LoadCell> pattern;
+  /// Directed edges of the graph the certificate was derived on.
+  std::uint32_t num_directed_edges = 0;
   /// Per-node outputs; populated iff has_outputs (kExact shapes only).
   bool has_outputs = false;
   std::vector<std::vector<std::uint64_t>> outputs;  // perf-ok: filled once per analysis
@@ -69,6 +72,7 @@ struct PatternCertificate {
     SoloRunResult solo;
     solo.outputs = outputs;
     solo.pattern = pattern;
+    solo.num_directed_edges = num_directed_edges;
     solo.total_messages = total_messages;
     solo.last_message_round = last_message_round;
     return solo;

@@ -57,8 +57,8 @@ struct ExecEvent {
 };
 
 /// Logical identity of a staged message, parallel to the staged header lane.
-/// Filled only when an observer or the fault layer consumes identities
-/// (patterns, flight recorder, fault injection); the clean unobserved path
+/// Filled only when the flight recorder or the fault layer consumes
+/// identities; the clean unobserved path
 /// never writes or reads it -- routing needs only the precomputed
 /// staged_round/staged_slot lanes.
 struct StagedMeta {
@@ -573,9 +573,6 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   ExecutionResult result;
   result.outputs.assign(k, {});
   result.completed.assign(k, {});
-  if (cfg_.record_patterns) {
-    result.patterns.assign(k, CommunicationPattern(graph_.num_directed_edges()));
-  }
   result.num_big_rounds = num_big_rounds;
   result.max_load_per_big_round.assign(num_big_rounds, 0);
 
@@ -619,8 +616,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
   }
   // Identity lanes are needed only when someone consumes message identities
   // at the barrier; the clean unobserved path skips the lane entirely.
-  const bool need_meta = faults != nullptr || cfg_.recorder != nullptr ||
-                         cfg_.record_patterns;
+  const bool need_meta = faults != nullptr || cfg_.recorder != nullptr;
   std::vector<WorkerState>& workers = scratch.workers;
   for (auto& ws : workers) {
     ws.delivered = 0;
@@ -1006,9 +1002,9 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
     //     do not depend on the thread count, so neither does any seg, nor
     //     any gather built from the segs;
     //   * worker 0 also takes every order-dependent stream: tag == T messages
-    //     (routed by their packed finish key), causality violations,
-    //     record_patterns, the recorder's per-message fates and, on faulty
-    //     runs, the retry queue and the horizon.
+    //     (routed by their packed finish key), causality violations, the
+    //     recorder's per-message fates and, on faulty runs, the retry queue
+    //     and the horizon.
     // No atomics anywhere: every written cell has exactly one owner. ---
     std::uint64_t retries_this_round = 0;
     if (max_retries > 0) {
@@ -1139,7 +1135,7 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
 
     const std::uint64_t num_dir_edges = graph_.num_directed_edges();
     const bool observe_edges = profiler != nullptr || telemetry != nullptr;
-    const bool log_sends = cfg_.record_patterns || (recorder != nullptr && faults == nullptr);
+    const bool log_deliveries = recorder != nullptr && faults == nullptr;
     auto barrier_body = [&](std::uint32_t w) {
       auto& ow = workers[w];
       // Phase E: every attempt -- retransmission or fresh, delivered or
@@ -1178,21 +1174,14 @@ ExecutionResult Executor::run_impl(std::span<const DistributedAlgorithm* const> 
         ow.touched.clear();
       }
 
-      // Worker 0's per-send streams. Patterns describe what the algorithms
-      // sent, so retransmissions are excluded; faulty runs log fates below
-      // instead of plain deliveries.
-      if (w == 0 && log_sends) {
+      // Worker 0 logs the recorder's plain deliveries in stream order; faulty
+      // runs log fates below instead.
+      if (w == 0 && log_deliveries) {
         for (const auto& src : workers) {
           for (std::size_t i = 0; i < src.staged_hdr.size(); ++i) {
             const auto& meta = src.staged_meta[i];
-            if (cfg_.record_patterns) {
-              result.patterns[meta.alg].record(meta.tag, src.staged_edge[i]);
-            }
-            if (recorder != nullptr && faults == nullptr) {
-              recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
-                               (std::uint64_t{meta.alg} << 32) | meta.tag,
-                               src.staged_edge[i]);
-            }
+            recorder->record(num_workers, FlightRecorder::Kind::kDeliver, t,
+                             (std::uint64_t{meta.alg} << 32) | meta.tag, src.staged_edge[i]);
           }
         }
       }

@@ -73,7 +73,6 @@
 
 #include "congest/admission.hpp"
 #include "congest/message.hpp"
-#include "congest/pattern.hpp"
 #include "congest/program.hpp"
 #include "congest/schedule_table.hpp"
 #include "fault/fault_injector.hpp"
@@ -127,8 +126,6 @@ struct ExecConfig {
   /// cache tuning knob: every value produces bit-identical ExecutionResults
   /// (docs/PERFORMANCE.md, "Memory layout & allocation budget").
   std::size_t tile_bytes = kDefaultTileBytes;
-  /// Record per-algorithm communication patterns (indexed by virtual round).
-  bool record_patterns = false;
   /// Enforce the raw CONGEST bound of one message per directed edge per
   /// big-round -- used by the solo Simulator where big-round == round.
   bool enforce_unit_capacity = false;
@@ -185,7 +182,8 @@ struct ExecConfig {
   /// ranges -- so profiled runs keep the parallel barrier, stay bit-identical
   /// across thread counts and are allocation-free in steady state. The
   /// profiler only observes; ExecutionResults are unchanged
-  /// (tests/test_profiler.cpp pins both).
+  /// (tests/test_profiler.cpp pins both). The solo Simulator reads its
+  /// communication patterns off this surface.
   ExecProfiler* profiler = nullptr;
   /// Optional flight recorder (borrowed; must outlive the run). Null -- the
   /// default -- records nothing. When set, each worker logs its executions
@@ -210,9 +208,6 @@ struct ExecutionResult {
   /// max over directed edges of the message load, per big-round.
   std::vector<std::uint32_t> max_load_per_big_round;  // perf-ok: one entry per big-round
   std::uint32_t max_edge_load = 0;
-
-  /// Per-algorithm patterns (virtual-round indexed); only if record_patterns.
-  std::vector<CommunicationPattern> patterns;  // perf-ok: opt-in recording, per run
 
   /// Heap allocations observed during the big-round loop (event execution
   /// plus delivery barriers) -- the steady-state message path. Non-zero only

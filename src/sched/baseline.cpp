@@ -65,16 +65,14 @@ BaselineOutcome GreedyScheduler::run(ScheduleProblem& problem) const {
   for (std::size_t a = 0; a < k; ++a) {
     out_edges[a].resize(n);
     state[a].resize(n);
-    const auto& pattern = problem.solo()[a].pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const EdgeId e = d / 2;
-        const auto [lo, hi] = g.endpoints(e);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        const NodeId receiver = (d % 2 == 0) ? hi : lo;
-        out_edges[a][sender][r].push_back(d);
-        ++state[a][receiver].inbound[r].remaining;
-      }
+    for (const auto& c : problem.solo()[a].pattern) {
+      const std::uint32_t r = c.big_round + 1;
+      const auto [lo, hi] = g.endpoints(c.edge / 2);
+      const NodeId sender = (c.edge % 2 == 0) ? lo : hi;
+      const NodeId receiver = (c.edge % 2 == 0) ? hi : lo;
+      auto& sends = out_edges[a][sender][r];
+      sends.insert(sends.end(), c.load, c.edge);
+      state[a][receiver].inbound[r].remaining += c.load;
     }
   }
 

@@ -17,21 +17,20 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
       1, static_cast<std::uint32_t>(
              std::ceil(cfg_.frame_factor * problem.congestion() / cfg_.capacity)));
 
-  // Flatten messages: (algorithm, round, directed edge).
+  // Flatten the solo cells, tagged with their algorithm.
   struct Msg {
     std::uint32_t alg;
-    std::uint32_t round;
-    std::uint32_t dedge;
+    LoadCell cell;
   };
   std::vector<Msg> messages;
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        messages.push_back({static_cast<std::uint32_t>(a), r, d});
-      }
+    for (const auto& c : problem.solo()[a].pattern) {
+      messages.push_back({static_cast<std::uint32_t>(a), c});
     }
   }
+  const auto cell_key = [&out](const Msg& m) {
+    return (static_cast<std::uint64_t>(out.delays[m.alg] + m.cell.big_round) << 32) | m.cell.edge;
+  };
 
   Rng rng(cfg_.seed);
   out.delays.resize(k);
@@ -46,9 +45,8 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
     load.clear();
     std::uint64_t violated = ~std::uint64_t{0};
     for (const auto& m : messages) {
-      const std::uint64_t cell =
-          (static_cast<std::uint64_t>(out.delays[m.alg] + m.round - 1) << 32) | m.dedge;
-      if (++load[cell] > cfg_.capacity) violated = std::min(violated, cell);
+      const std::uint64_t cell = cell_key(m);
+      if ((load[cell] += m.cell.load) > cfg_.capacity) violated = std::min(violated, cell);
     }
     if (violated == ~std::uint64_t{0}) {
       out.converged = true;
@@ -59,9 +57,7 @@ MoserTardosOutcome MoserTardosScheduler::run(ScheduleProblem& problem) const {
     // would misidentify participants.)
     std::vector<std::uint8_t> in_event(k, 0);
     for (const auto& m : messages) {
-      const std::uint64_t cell =
-          (static_cast<std::uint64_t>(out.delays[m.alg] + m.round - 1) << 32) | m.dedge;
-      if (cell == violated) in_event[m.alg] = 1;
+      if (cell_key(m) == violated) in_event[m.alg] = 1;
     }
     for (std::size_t a = 0; a < k; ++a) {
       if (in_event[a]) {

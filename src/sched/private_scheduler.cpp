@@ -234,35 +234,21 @@ std::vector<std::uint32_t> PrivateRandomnessScheduler::no_dedup_loads(
   const auto& g = problem.graph();
   const auto layers = static_cast<std::uint32_t>(clustering.num_layers());
 
-  // load[t][d] would be huge; track per-big-round maxima with a flat map.
-  std::vector<std::vector<std::uint32_t>> load;  // [t][directed edge]
-  auto bump = [&](std::uint32_t t, std::uint32_t d) {
-    if (t >= load.size()) load.resize(t + 1);
-    if (load[t].empty()) load[t].assign(g.num_directed_edges(), 0);
-    ++load[t][d];
-  };
-
+  // Every eligible layer's copy of every solo cell, at that layer's delay.
+  std::vector<LoadCell> copies;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const EdgeId e = d / 2;
-        const auto [lo, hi] = g.endpoints(e);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        for (std::uint32_t l = 0; l < layers; ++l) {
-          if (clustering.layers[l].h_prime[sender] >= r - 1) {
-            bump(delay[l][sender][a] + (r - 1), d);
-          }
+    for (const auto& c : problem.solo()[a].pattern) {
+      const auto [lo, hi] = g.endpoints(c.edge / 2);
+      const NodeId sender = (c.edge % 2 == 0) ? lo : hi;
+      for (std::uint32_t l = 0; l < layers; ++l) {
+        if (clustering.layers[l].h_prime[sender] >= c.big_round) {
+          copies.push_back({delay[l][sender][a] + c.big_round, c.edge, c.load});
         }
       }
     }
   }
-
-  std::vector<std::uint32_t> max_per_round(load.size(), 0);
-  for (std::size_t t = 0; t < load.size(); ++t) {
-    for (const auto x : load[t]) max_per_round[t] = std::max(max_per_round[t], x);
-  }
-  return max_per_round;
+  coalesce_load_cells(copies, g.num_directed_edges());
+  return round_max_loads(copies);
 }
 
 }  // namespace dasched

@@ -49,13 +49,9 @@ std::uint32_t ScheduleProblem::dilation() const {
 
 std::uint32_t ScheduleProblem::congestion() const {
   DASCHED_CHECK_MSG(solo_done(), "call run_solo() first");
-  std::vector<std::uint32_t> loads(graph_->num_directed_edges(), 0);
-  for (const auto& s : solo_) {
-    for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += s.pattern.edge_load(d);
-  }
-  std::uint32_t congestion = 0;
-  for (const auto load : loads) congestion = std::max(congestion, load);
-  return congestion;
+  std::vector<std::uint64_t> loads(graph_->num_directed_edges(), 0);
+  for (const auto& s : solo_) add_edge_totals(s.pattern, loads);
+  return max_edge_total(loads);
 }
 
 std::vector<analysis::PatternCertificate> ScheduleProblem::analyze_static() const {
@@ -73,16 +69,13 @@ std::uint32_t ScheduleProblem::certified_congestion_bound() const {
   std::uint64_t envelope = 0;
   for (const auto& cert : analyze_static()) {
     if (cert.exact()) {
-      for (std::uint32_t d = 0; d < loads.size(); ++d) loads[d] += cert.pattern.edge_load(d);
+      add_edge_totals(cert.pattern, loads);
     } else {
       envelope += cert.per_edge_bound;
     }
   }
-  std::uint64_t bound = 0;
-  for (const auto load : loads) bound = std::max(bound, load);
-  bound += envelope;
   return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(bound, ~std::uint32_t{0}));
+      std::min<std::uint64_t>(std::uint64_t{max_edge_total(loads)} + envelope, ~std::uint32_t{0}));
 }
 
 std::uint32_t ScheduleProblem::trivial_lower_bound() const {

@@ -83,7 +83,8 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
       // the congestion accounting below read out of bounds. Anything subtler
       // (wrong rounds, wrong loads, wrong outputs) is deliberately left for
       // the verifier gate -- the cache is data, the gate is the authority.
-      if (cached->solo.pattern.num_directed_edges() == graph_.num_directed_edges()) {
+      if (cached->solo.num_directed_edges == graph_.num_directed_edges() &&
+          is_load_surface(cached->solo.pattern, graph_.num_directed_edges())) {
         adm.profile = *cached;  // copy: inserts below may evict this entry
         adm.cache_hit = true;
         adm.pending = std::move(pending);
@@ -123,7 +124,7 @@ SchedulerDaemon::Admitted SchedulerDaemon::acquire_profile(Pending pending) {
           .count();
 
   adm.profile.rounds = algorithm->rounds();
-  adm.profile.max_edge_load = solo.pattern.max_edge_load();
+  adm.profile.max_edge_load = max_edge_total(solo.pattern, solo.num_directed_edges);
   adm.profile.total_messages = solo.total_messages;
   adm.profile.solo = std::move(solo);
   cache_.insert(adm.key, adm.profile);
@@ -161,20 +162,18 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
   // delays -- only the newcomer draws fresh randomness.
   std::vector<Admitted> cohort;
   std::vector<Pending> deferred;
-  std::vector<std::uint32_t> edge_acc(graph_.num_directed_edges(), 0);
+  std::vector<std::uint64_t> edge_acc(graph_.num_directed_edges(), 0);
   std::vector<std::vector<std::uint32_t>> grid;  // [big_round][directed edge]
 
   for (auto& pending : queue_) {
     Admitted adm = acquire_profile(std::move(pending));
-    const CommunicationPattern& pattern = adm.profile.solo.pattern;
+    const std::vector<LoadCell>& pattern = adm.profile.solo.pattern;
 
     // Offered congestion including this job: the Theorem 1.1 delay range is
     // ceil(congestion / phase_len) big-rounds.
-    std::uint32_t offered = 0;
-    for (std::uint32_t d = 0; d < graph_.num_directed_edges(); ++d) {
-      const std::uint32_t load = edge_acc[d] + pattern.edge_load(d);
-      offered = std::max(offered, load);
-    }
+    std::vector<std::uint64_t> offered_acc = edge_acc;
+    add_edge_totals(pattern, offered_acc);
+    const std::uint32_t offered = max_edge_total(offered_acc);
     const auto range = static_cast<std::uint32_t>(
         std::max<std::uint64_t>(1, ceil_div_u64(offered, phase_len_)));
     const std::uint32_t delay = static_cast<std::uint32_t>(
@@ -182,19 +181,11 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
         range);
 
     // Trial fold: would any (big-round, edge) cell exceed the phase budget?
-    const std::uint32_t last_round = pattern.last_message_round();
-    const std::size_t need_rows = delay + last_round;
-    bool overflow = false;
-    for (std::uint32_t r = 1; r <= last_round && !overflow; ++r) {
-      const std::size_t t = delay + r - 1;
-      if (t >= grid.size()) continue;  // untouched rows hold zero load
-      for (const std::uint32_t d : pattern.edges_in_round(r)) {
-        if (grid[t][d] + 1 > budget_) {
-          overflow = true;
-          break;
-        }
-      }
-    }
+    const bool overflow = std::any_of(pattern.begin(), pattern.end(), [&](const LoadCell& c) {
+      const std::size_t t = std::size_t{delay} + c.big_round;
+      // Untouched rows hold zero load.
+      return (t < grid.size() ? grid[t][c.edge] : 0u) + c.load > budget_;
+    });
 
     if (overflow) {
       ++stats_.deferrals;
@@ -213,14 +204,12 @@ void SchedulerDaemon::compose_and_execute(std::uint64_t tick, ServiceResult& res
     }
 
     // Commit the fold.
-    if (grid.size() < need_rows)
-      grid.resize(need_rows, std::vector<std::uint32_t>(graph_.num_directed_edges(), 0));
-    for (std::uint32_t r = 1; r <= last_round; ++r) {
-      for (const std::uint32_t d : pattern.edges_in_round(r)) ++grid[delay + r - 1][d];
+    if (!pattern.empty() && grid.size() < std::size_t{delay} + pattern.back().big_round + 1) {
+      grid.resize(std::size_t{delay} + pattern.back().big_round + 1,
+                  std::vector<std::uint32_t>(graph_.num_directed_edges(), 0));
     }
-    for (std::uint32_t d = 0; d < graph_.num_directed_edges(); ++d) {
-      edge_acc[d] += pattern.edge_load(d);
-    }
+    for (const auto& c : pattern) grid[delay + c.big_round][c.edge] += c.load;
+    edge_acc = std::move(offered_acc);
     adm.delay = delay;
     JobOutcome& out = result.outcomes[adm.pending.request.job_id];
     out.cache_hit = adm.cache_hit;

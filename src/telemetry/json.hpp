@@ -1,14 +1,11 @@
-// Minimal JSON support for the telemetry subsystem: a streaming writer (used
-// by MetricsRegistry / ChromeTraceSink / RunReport) and a small recursive-
-// descent parser (used by tests to round-trip snapshots and by tools that
-// read reports back). Deliberately tiny and dependency-free; not a general
-// JSON library -- numbers are doubles, no \uXXXX emission beyond pass-through
-// escaping, inputs are trusted artifacts we wrote ourselves.
+// Minimal JSON writer for the telemetry subsystem (used by MetricsRegistry /
+// ChromeTraceSink / RunReport). Deliberately tiny and dependency-free; not a
+// general JSON library -- numbers are doubles, no \uXXXX emission beyond
+// pass-through escaping. The matching parser lives with the tests
+// (tests/json_parse.hpp), its only users.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -65,34 +62,5 @@ class Writer {
 
 /// Escapes `s` per RFC 8259 and writes it including surrounding quotes.
 void write_escaped(std::ostream& os, std::string_view s);
-
-// ---------------------------------------------------------------------------
-// Parser (tests / report readers).
-// ---------------------------------------------------------------------------
-
-struct Value;
-using ValuePtr = std::shared_ptr<Value>;
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<ValuePtr> array;
-  std::map<std::string, ValuePtr> object;
-
-  bool is_object() const { return kind == Kind::kObject; }
-  bool is_array() const { return kind == Kind::kArray; }
-  bool is_number() const { return kind == Kind::kNumber; }
-  bool is_string() const { return kind == Kind::kString; }
-
-  /// Object member lookup; nullptr if absent or not an object.
-  const Value* get(std::string_view key) const;
-};
-
-/// Parses a complete JSON document. Returns nullptr on malformed input
-/// (if `error` is non-null it receives a short description).
-ValuePtr parse(std::string_view text, std::string* error = nullptr);
 
 }  // namespace dasched::json

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "congest/pattern.hpp"  // LoadCell
 #include "telemetry/telemetry.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -50,30 +51,6 @@
 namespace dasched {
 
 class Table;
-
-/// One measured (or statically predicted) per-(big-round, directed-edge)
-/// load. Ordered by (big_round, edge) so measured and predicted tables join
-/// with one linear merge.
-struct LoadCell {
-  std::uint32_t big_round = 0;
-  std::uint32_t edge = 0;  // directed edge id
-  std::uint32_t load = 0;
-  friend bool operator<(const LoadCell& x, const LoadCell& y) {
-    if (x.big_round != y.big_round) return x.big_round < y.big_round;
-    return x.edge < y.edge;
-  }
-  friend bool operator==(const LoadCell&, const LoadCell&) = default;
-};
-
-/// Stably sorts `cells` by (big_round, edge) -- element for element what
-/// std::stable_sort gives -- in O(cells + num_directed_edges + 2^16) time:
-/// counting passes by directed edge (every edge must be below
-/// num_directed_edges), then by the low and the high 16-bit big-round digit,
-/// each skipped when one bucket holds every cell. No counting array is sized
-/// by a big-round value, so a malformed schedule with slots near
-/// kNeverScheduled costs no more memory than a clean one. The verifier's
-/// static loads come out of it, in the order ExecProfiler::cells() has.
-void sort_load_cells(std::vector<LoadCell>& cells, std::uint32_t num_directed_edges);
 
 class ExecProfiler {
  public:
@@ -156,9 +133,10 @@ class ExecProfiler {
     return {round_max_load_.data(), rounds_used_};
   }
 
-  /// Every touched cell of the last run, strictly increasing in
-  /// (big_round, edge) -- the join key the divergence monitor and the
-  /// verifier's static load table share. Identical across thread counts.
+  /// Every touched cell of the last run: a load surface (congest/pattern.hpp),
+  /// strictly increasing in (big_round, edge) with every load >= 1. The
+  /// verifier's static loads and the solo patterns (the Simulator copies this
+  /// after a lockstep run) have the same type. Identical across thread counts.
   const std::vector<LoadCell>& cells() const { return cells_; }
 
   /// The n busiest directed edges by total load (ties broken by edge id).

@@ -13,28 +13,27 @@ Location at(std::int64_t alg_index) {
   return loc;
 }
 
-/// Per-round cell loads of `pattern`, as (directed edge -> count) over the
-/// scratch vector; `touched` lists the nonzero entries for cheap reset.
-void round_loads(const CommunicationPattern& pattern, std::uint32_t round,
-                 std::vector<std::uint32_t>& loads, std::vector<std::uint32_t>& touched) {
-  for (const std::uint32_t d : pattern.edges_in_round(round)) {
-    if (loads[d]++ == 0) touched.push_back(d);
-  }
-}
-
 }  // namespace
 
 bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunResult& solo,
                        Report& report, std::int64_t alg_index) {
   const std::uint64_t errors_before = report.errors();
-  const std::uint32_t num_directed = solo.pattern.num_directed_edges();
+  const std::uint32_t num_directed = solo.num_directed_edges;
 
   // --- Dimensions: everything below indexes through these. ---
   bool dims_ok = true;
-  if (cert.exact() && cert.pattern.num_directed_edges() != num_directed) {
+  if (cert.exact() && cert.num_directed_edges != num_directed) {
     std::ostringstream os;
-    os << "certificate surface covers " << cert.pattern.num_directed_edges()
+    os << "certificate surface covers " << cert.num_directed_edges
        << " directed edges; the executed pattern has " << num_directed;
+    report.add({Severity::kError, kCodeCertificateDims, at(alg_index), os.str(), {}});
+    dims_ok = false;
+  }
+  if (dims_ok && (!is_load_surface(solo.pattern, num_directed) ||
+                  (cert.exact() && !is_load_surface(cert.pattern, num_directed)))) {
+    std::ostringstream os;
+    os << "a load surface is unsorted, has an empty cell or leaves the " << num_directed
+       << " directed edges";
     report.add({Severity::kError, kCodeCertificateDims, at(alg_index), os.str(), {}});
     dims_ok = false;
   }
@@ -55,34 +54,22 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
   if (!dims_ok) return false;
 
   std::uint64_t cells_compared = 0;
-  std::vector<std::uint32_t> cert_loads(num_directed, 0);
-  std::vector<std::uint32_t> solo_loads(num_directed, 0);
-  std::vector<std::uint32_t> touched;
-
   if (cert.exact()) {
-    // Cell-for-cell equality over the union of rounds either side touches.
-    const std::uint32_t last =
-        std::max(cert.pattern.last_message_round(), solo.pattern.last_message_round());
-    for (std::uint32_t r = 1; r <= last; ++r) {
-      touched.clear();
-      round_loads(cert.pattern, r, cert_loads, touched);
-      round_loads(solo.pattern, r, solo_loads, touched);
-      for (const std::uint32_t d : touched) {
-        ++cells_compared;
-        if (cert_loads[d] != solo_loads[d]) {
-          std::ostringstream os;
-          os << "certified load " << cert_loads[d] << " != executed load " << solo_loads[d];
-          Location loc = at(alg_index);
-          loc.vround = r;
-          loc.edge = d;
-          report.add({Severity::kError, kCodeCertificateCellMismatch, loc, os.str(),
-                      {{"certified", static_cast<double>(cert_loads[d])},
-                       {"executed", static_cast<double>(solo_loads[d])}}});
-        }
-        cert_loads[d] = 0;
-        solo_loads[d] = 0;
-      }
-    }
+    // Cell-for-cell equality over the union of both surfaces.
+    merge_load_cells(cert.pattern, solo.pattern,
+                     [&](std::uint32_t big_round, std::uint32_t edge, std::uint32_t certified,
+                         std::uint32_t executed) {
+                       ++cells_compared;
+                       if (certified == executed) return;
+                       std::ostringstream os;
+                       os << "certified load " << certified << " != executed load " << executed;
+                       Location loc = at(alg_index);
+                       loc.vround = big_round + 1;
+                       loc.edge = edge;
+                       report.add({Severity::kError, kCodeCertificateCellMismatch, loc, os.str(),
+                                   {{"certified", static_cast<double>(certified)},
+                                    {"executed", static_cast<double>(executed)}}});
+                     });
     if (cert.has_outputs) {
       for (NodeId v = 0; v < solo.outputs.size(); ++v) {
         if (cert.outputs[v] == solo.outputs[v]) continue;
@@ -104,34 +91,31 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
                   {{"executed", static_cast<double>(executed)},
                    {"certified", static_cast<double>(certified)}}});
     };
-    if (solo.pattern.last_message_round() > cert.last_message_round) {
-      bound_violation("last message round", solo.pattern.last_message_round(),
-                      cert.last_message_round, at(alg_index));
+    if (solo.last_message_round > cert.last_message_round) {
+      bound_violation("last message round", solo.last_message_round, cert.last_message_round,
+                      at(alg_index));
     }
     if (solo.total_messages > cert.total_messages) {
       bound_violation("total messages", solo.total_messages, cert.total_messages,
                       at(alg_index));
     }
+    std::vector<std::uint64_t> edge_totals(num_directed, 0);
+    add_edge_totals(solo.pattern, edge_totals);
     for (std::uint32_t d = 0; d < num_directed; ++d) {
       ++cells_compared;
-      if (solo.pattern.edge_load(d) > cert.per_edge_bound) {
+      if (edge_totals[d] > cert.per_edge_bound) {
         Location loc = at(alg_index);
         loc.edge = d;
-        bound_violation("per-edge load", solo.pattern.edge_load(d), cert.per_edge_bound, loc);
+        bound_violation("per-edge load", edge_totals[d], cert.per_edge_bound, loc);
       }
     }
-    for (std::uint32_t r = 1; r <= solo.pattern.last_message_round(); ++r) {
-      touched.clear();
-      round_loads(solo.pattern, r, solo_loads, touched);
-      for (const std::uint32_t d : touched) {
-        ++cells_compared;
-        if (solo_loads[d] > cert.per_cell_bound) {
-          Location loc = at(alg_index);
-          loc.vround = r;
-          loc.edge = d;
-          bound_violation("cell load", solo_loads[d], cert.per_cell_bound, loc);
-        }
-        solo_loads[d] = 0;
+    for (const auto& c : solo.pattern) {
+      ++cells_compared;
+      if (c.load > cert.per_cell_bound) {
+        Location loc = at(alg_index);
+        loc.vround = c.big_round + 1;
+        loc.edge = c.edge;
+        bound_violation("cell load", c.load, cert.per_cell_bound, loc);
       }
     }
   }
@@ -144,7 +128,8 @@ bool check_certificate(const analysis::PatternCertificate& cert, const SoloRunRe
     report.add({Severity::kInfo, kCodeCertificateSummary, at(alg_index), os.str(),
                 {{"cells_compared", static_cast<double>(cells_compared)},
                  {"certified_congestion", static_cast<double>(cert.congestion)},
-                 {"executed_congestion", static_cast<double>(solo.pattern.max_edge_load())}}});
+                 {"executed_congestion",
+                  static_cast<double>(max_edge_total(solo.pattern, num_directed))}}});
   }
   return report.errors() == errors_before;
 }

@@ -62,11 +62,15 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   for (std::size_t a = 0; a < k; ++a) {
     const auto& solo = problem.solo()[a];
     std::ostringstream os;
-    if (solo.pattern.num_directed_edges() != g.num_directed_edges()) {
-      os << "solo pattern covers " << solo.pattern.num_directed_edges()
+    if (solo.num_directed_edges != g.num_directed_edges()) {
+      os << "solo pattern covers " << solo.num_directed_edges
          << " directed edges; the graph has " << g.num_directed_edges();
-    } else if (solo.pattern.last_message_round() > problem.algorithm(a).rounds()) {
-      os << "solo pattern sends in round " << solo.pattern.last_message_round()
+    } else if (!is_load_surface(solo.pattern, g.num_directed_edges())) {
+      os << "solo pattern is not a load surface over the graph's " << g.num_directed_edges()
+         << " directed edges (unsorted, duplicated, empty or out-of-range cells)";
+    } else if (!solo.pattern.empty() &&
+               solo.pattern.back().big_round >= problem.algorithm(a).rounds()) {
+      os << "solo pattern sends in round " << std::uint64_t{solo.pattern.back().big_round} + 1
          << "; the algorithm declares " << problem.algorithm(a).rounds() << " rounds";
     } else if (solo.outputs.size() != n) {
       os << "solo outputs cover " << solo.outputs.size() << " nodes; the graph has "
@@ -165,44 +169,28 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
   // run iff its producer slot is scheduled (Lemma 4.4 discard rule). ---
   const std::uint32_t headroom =
       opts.retry_budget == 0 ? 1u : (1u << opts.retry_budget);
-  // One (big_round, directed_edge) cell of load 1 per transmission.
+  // The solo cells shifted to their producers' big-rounds.
   std::vector<LoadCell> loads;
-  loads.reserve(problem.total_messages());
+  std::size_t num_cells = 0;
+  for (const auto& solo : problem.solo()) num_cells += solo.pattern.size();
+  loads.reserve(num_cells);
   for (std::size_t a = 0; a < k; ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
     const std::uint32_t rounds = problem.algorithm(a).rounds();
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        const EdgeId e = d / 2;
-        const auto [lo, hi] = g.endpoints(e);
-        const NodeId sender = (d % 2 == 0) ? lo : hi;
-        const NodeId receiver = (d % 2 == 0) ? hi : lo;
-        const std::uint32_t producer_slot = schedule.at(a, sender, r);
-        // The consumer executes virtual round r + 1; for r == rounds the
-        // consumer is on_finish, which always runs after the whole schedule.
-        const std::uint32_t consumer_slot =
-            r + 1 <= rounds ? schedule.at(a, receiver, r + 1) : kNeverScheduled;
-        if (producer_slot == kNeverScheduled) {
-          // Truncated producer: the message is discarded. Legal only if the
-          // consumer round is truncated too (causally closed discards).
-          if (consumer_slot != kNeverScheduled) {
-            Location loc;
-            loc.alg = static_cast<std::int64_t>(a);
-            loc.node = receiver;
-            loc.vround = r + 1;
-            loc.big_round = consumer_slot;
-            loc.edge = d;
-            std::ostringstream os;
-            os << "consumer round is scheduled but its producer (node " << sender
-               << ", round " << r << ") is truncated: discards are not causally closed";
-            report.add({Severity::kError, kCodeMissingProducer, loc, format_msg(os), {}});
-          }
-          continue;
-        }
-        loads.push_back({producer_slot, d, 1});
-        if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
-        ++report.measured.checked_messages;
-        if (consumer_slot <= producer_slot) {
+    for (const LoadCell& cell : problem.solo()[a].pattern) {
+      const std::uint32_t r = cell.big_round + 1;
+      const std::uint32_t d = cell.edge;
+      const auto [lo, hi] = g.endpoints(d / 2);
+      const NodeId sender = (d % 2 == 0) ? lo : hi;
+      const NodeId receiver = (d % 2 == 0) ? hi : lo;
+      const std::uint32_t producer_slot = schedule.at(a, sender, r);
+      // The consumer executes virtual round r + 1; for r == rounds the
+      // consumer is on_finish, which always runs after the whole schedule.
+      const std::uint32_t consumer_slot =
+          r + 1 <= rounds ? schedule.at(a, receiver, r + 1) : kNeverScheduled;
+      if (producer_slot == kNeverScheduled) {
+        // Truncated producer: the message is discarded. Legal only if the
+        // consumer round is truncated too (causally closed discards).
+        if (consumer_slot != kNeverScheduled) {
           Location loc;
           loc.alg = static_cast<std::int64_t>(a);
           loc.node = receiver;
@@ -210,61 +198,69 @@ Report check_schedule(const ScheduleProblem& problem, const ScheduleTable& sched
           loc.big_round = consumer_slot;
           loc.edge = d;
           std::ostringstream os;
-          os << "consumer big-round " << consumer_slot
-             << " is not strictly after producer big-round " << producer_slot;
-          report.add({Severity::kError, kCodeCausality, loc, format_msg(os),
-                      {{"producer_slot", static_cast<double>(producer_slot)},
-                       {"consumer_slot", static_cast<double>(consumer_slot)}}});
-        } else if (consumer_slot - producer_slot < headroom) {
-          // Static re-proof of the 2^R stretch lemma (fault/reliable.hpp):
-          // the last retransmission lands at producer + 2^R - 1, so the
-          // consumer needs a gap of at least 2^R big-rounds.
-          Location loc;
-          loc.alg = static_cast<std::int64_t>(a);
-          loc.node = receiver;
-          loc.vround = r + 1;
-          loc.big_round = consumer_slot;
-          loc.edge = d;
-          std::ostringstream os;
-          os << "gap of " << (consumer_slot - producer_slot) << " big-rounds < 2^"
-             << opts.retry_budget << ": a final retransmission at "
-             << (producer_slot + headroom - 1) << " could land after the consumer";
-          report.add({Severity::kError, kCodeRetryHeadroom, loc, format_msg(os),
-                      {{"gap", static_cast<double>(consumer_slot - producer_slot)},
-                       {"required", static_cast<double>(headroom)}}});
+          os << "consumer round is scheduled but its producer (node " << sender
+             << ", round " << r << ") is truncated: discards are not causally closed";
+          report.add({Severity::kError, kCodeMissingProducer, loc, format_msg(os), {}});
         }
+        continue;
+      }
+      loads.push_back({producer_slot, d, cell.load});
+      if (consumer_slot == kNeverScheduled) continue;  // discard rule: no constraint
+      report.measured.checked_messages += cell.load;
+      if (consumer_slot <= producer_slot) {
+        Location loc;
+        loc.alg = static_cast<std::int64_t>(a);
+        loc.node = receiver;
+        loc.vround = r + 1;
+        loc.big_round = consumer_slot;
+        loc.edge = d;
+        std::ostringstream os;
+        os << "consumer big-round " << consumer_slot
+           << " is not strictly after producer big-round " << producer_slot;
+        report.add({Severity::kError, kCodeCausality, loc, format_msg(os),
+                    {{"producer_slot", static_cast<double>(producer_slot)},
+                     {"consumer_slot", static_cast<double>(consumer_slot)}}});
+      } else if (consumer_slot - producer_slot < headroom) {
+        // Static re-proof of the 2^R stretch lemma (fault/reliable.hpp):
+        // the last retransmission lands at producer + 2^R - 1, so the
+        // consumer needs a gap of at least 2^R big-rounds.
+        Location loc;
+        loc.alg = static_cast<std::int64_t>(a);
+        loc.node = receiver;
+        loc.vround = r + 1;
+        loc.big_round = consumer_slot;
+        loc.edge = d;
+        std::ostringstream os;
+        os << "gap of " << (consumer_slot - producer_slot) << " big-rounds < 2^"
+           << opts.retry_budget << ": a final retransmission at "
+           << (producer_slot + headroom - 1) << " could land after the consumer";
+        report.add({Severity::kError, kCodeRetryHeadroom, loc, format_msg(os),
+                    {{"gap", static_cast<double>(consumer_slot - producer_slot)},
+                     {"required", static_cast<double>(headroom)}}});
       }
     }
   }
 
-  // --- Static per-edge per-big-round loads: counting-sort the
-  // (big_round, edge) transmissions and run-length count. Equal to the
-  // executor's measured loads on a reliable network. ---
-  sort_load_cells(loads, g.num_directed_edges());
-  for (std::size_t i = 0; i < loads.size();) {
-    std::size_t j = i;
-    while (j < loads.size() && loads[j] == loads[i]) ++j;
-    const auto load = static_cast<std::uint32_t>(j - i);
-    report.measured.max_edge_load = std::max(report.measured.max_edge_load, load);
-    if (static_loads != nullptr) {
-      // The run-length groups come out sorted by (big_round, edge) -- the
-      // order ExecProfiler::cells() has, so the surfaces join with one
-      // linear merge.
-      static_loads->push_back({loads[i].big_round, loads[i].edge, load});
-    }
-    if (opts.congestion_budget > 0 && load > opts.congestion_budget) {
+  // --- Static per-edge per-big-round loads: coalesce the shifted cells into
+  // one surface. Equal to the executor's measured loads on a reliable
+  // network. ---
+  coalesce_load_cells(loads, g.num_directed_edges());
+  for (const LoadCell& cell : loads) {
+    report.measured.max_edge_load = std::max(report.measured.max_edge_load, cell.load);
+    if (opts.congestion_budget > 0 && cell.load > opts.congestion_budget) {
       Location loc;
-      loc.big_round = loads[i].big_round;
-      loc.edge = loads[i].edge;
+      loc.big_round = cell.big_round;
+      loc.edge = cell.edge;
       std::ostringstream os;
-      os << load << " messages on one directed edge in one big-round exceed the phase budget "
+      os << cell.load
+         << " messages on one directed edge in one big-round exceed the phase budget "
          << opts.congestion_budget;
       report.add({Severity::kError, kCodeCongestionOverrun, loc, format_msg(os),
-                  {{"load", static_cast<double>(load)},
+                  {{"load", static_cast<double>(cell.load)},
                    {"budget", static_cast<double>(opts.congestion_budget)}}});
     }
-    i = j;
   }
+  if (static_loads != nullptr) *static_loads = std::move(loads);
 
   // --- Total length vs the O(congestion + dilation log n) budget. ---
   report.measured.big_rounds = any_slot ? max_slot + 1 : 0;

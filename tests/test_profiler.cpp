@@ -30,10 +30,10 @@
 #include "fault/reliable.hpp"
 #include "fault/robustness.hpp"
 #include "graph/generators.hpp"
+#include "json_parse.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/alloc_counter.hpp"
@@ -219,13 +219,12 @@ struct ObservedRun {
   ExecutionResult result;
   ProfilerSnapshot profile;
   RecorderView recorder;
-  std::vector<std::vector<std::uint32_t>> patterns;  // edges per (alg, round)
   std::map<std::string, std::uint64_t, std::less<>> counters;
   std::vector<double> edge_load_samples;  // sorted
 };
 
 TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
-  // Profiler, flight recorder, telemetry and record_patterns all attached:
+  // Profiler, flight recorder and telemetry all attached:
   // none of them serializes the delivery barrier any more, so each must see
   // the same thing at every thread count and tile size, on a reliable run
   // and on a faulty one whose retransmissions extend the horizon.
@@ -253,7 +252,6 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
     cfg.profiler = &profiler;
     cfg.recorder = &recorder;
     cfg.telemetry = &metrics;
-    cfg.record_patterns = true;
     if (faulty) {
       cfg.faults = &injector;
       cfg.retry = retry;
@@ -262,12 +260,6 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
     run.result = Executor(in.g, cfg).run(in.algos, faulty ? stretched : in.schedule);
     run.profile = snapshot(profiler);
     run.recorder = recorder_view(recorder);
-    for (const auto& pattern : run.result.patterns) {
-      for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-        const auto edges = pattern.edges_in_round(r);
-        run.patterns.emplace_back(edges.begin(), edges.end());
-      }
-    }
     for (const auto& [name, value] : metrics.counters()) {
       // The split of rounds between inline and pooled execution is the one
       // telemetry value that legitimately follows the thread count.
@@ -289,7 +281,6 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
         ASSERT_TRUE(cells[i - 1] < cells[i]) << "cells() not strictly increasing at " << i;
       }
       EXPECT_EQ(baseline.edge_load_samples.size(), cells.size());
-      EXPECT_FALSE(baseline.patterns.empty());
       if (faulty) {
         EXPECT_GT(baseline.result.faults.retransmissions, 0u);
         EXPECT_GT(baseline.result.num_big_rounds,
@@ -303,7 +294,6 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
         expect_identical(baseline.result, r.result);
         EXPECT_EQ(r.profile, baseline.profile);
         EXPECT_EQ(r.recorder, baseline.recorder);
-        EXPECT_EQ(r.patterns, baseline.patterns);
         EXPECT_EQ(r.counters, baseline.counters);
         EXPECT_EQ(r.edge_load_samples, baseline.edge_load_samples);
       }
@@ -312,7 +302,6 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalAcrossThreadCounts) {
         expect_identical(first->result, baseline.result);
         EXPECT_EQ(first->profile.cells, baseline.profile.cells);
         EXPECT_EQ(first->recorder, baseline.recorder);
-        EXPECT_EQ(first->patterns, baseline.patterns);
         EXPECT_EQ(first->counters, baseline.counters);
       } else {
         first = baseline;
@@ -476,16 +465,11 @@ TEST(FlightRecorderDeathTest, AdmissionRejectionWritesPostMortemDump) {
   // the verifier rejects the table.
   ScheduleTable wrong = in.schedule;
   const auto& pattern = in.problem->solo()[1].pattern;
-  std::int64_t victim = -1;
-  for (std::uint32_t r = 1; r < in.problem->algorithm(1).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
-    if (!edges.empty()) {
-      const auto [lo, hi] = in.g.endpoints(edges.front() / 2);
-      victim = edges.front() % 2 == 0 ? hi : lo;
-    }
-  }
-  ASSERT_GE(victim, 0);
-  const auto row = wrong.row_mut(1, static_cast<NodeId>(victim));
+  ASSERT_FALSE(pattern.empty());
+  ASSERT_LT(pattern.front().big_round + 1, in.problem->algorithm(1).rounds());
+  const auto [lo, hi] = in.g.endpoints(pattern.front().edge / 2);
+  const NodeId victim = pattern.front().edge % 2 == 0 ? hi : lo;
+  const auto row = wrong.row_mut(1, victim);
   for (std::uint32_t r = 1; r <= row.size(); ++r) row[r - 1] = r - 1;
 
   const std::string path = testing::TempDir() + "dasched_admission_dump.json";

@@ -12,11 +12,11 @@
 #include "congest/schedule_table.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
+#include "json_parse.hpp"
 #include "sched/problem.hpp"
 #include "service/daemon.hpp"
 #include "service/job_stream.hpp"
 #include "service/profile_cache.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/fingerprint.hpp"
@@ -352,6 +352,57 @@ TEST(VerifierProfileConsistency, WrongEdgeCountProfileIsRejectedNotExecuted) {
   EXPECT_TRUE(report.has(verify::kCodeDimensionMismatch));
 }
 
+TEST(VerifierProfileConsistency, ForeignGraphsOfEitherSizeAreRejectedNotExecuted) {
+  // Profiles recorded on a graph with fewer and with more directed edges,
+  // each as recorded and with its edge count forged to match: every one must
+  // become a structured dimension finding, never a read outside the graph.
+  const Graph g = test_graph(80, 7);
+  const JobSpec spec = service::tenant_spec(stream_config(), 1, 0, g.num_nodes());
+  const Graph fewer = make_path(g.num_nodes());
+  const Graph more = make_complete(g.num_nodes());
+  ASSERT_LT(fewer.num_directed_edges(), g.num_directed_edges());
+  ASSERT_GT(more.num_directed_edges(), g.num_directed_edges());
+  const auto check = [&](SoloRunResult solo) {
+    ScheduleProblem problem(g);
+    problem.add(service::make_algorithm(spec));
+    problem.adopt_solo({std::move(solo)});
+    const auto table = ScheduleTable::lockstep(problem.algorithm_ptrs(), g.num_nodes());
+    return verify::check_schedule(problem, table);
+  };
+  for (const Graph* other : {&fewer, &more}) {
+    SCOPED_TRACE(other->num_directed_edges());
+    SoloRunResult foreign = Simulator(*other).run(*service::make_algorithm(spec));
+    ASSERT_FALSE(foreign.pattern.empty());
+    EXPECT_TRUE(check(foreign).has(verify::kCodeDimensionMismatch));
+    // Forged edge count; one cell on the first edge id past the graph.
+    foreign.num_directed_edges = g.num_directed_edges();
+    foreign.pattern.push_back({foreign.pattern.back().big_round, g.num_directed_edges(), 1});
+    const auto report = check(foreign);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(verify::kCodeDimensionMismatch));
+  }
+}
+
+TEST(VerifierProfileConsistency, UnsortedOrDuplicatedSurfaceIsRejectedNotExecuted) {
+  const Graph g = test_graph(80, 7);
+  const JobSpec spec = service::tenant_spec(stream_config(), 1, 0, g.num_nodes());
+  const SoloRunResult solo = Simulator(g).run(*service::make_algorithm(spec));
+  ASSERT_GE(solo.pattern.size(), 2u);
+  std::vector<SoloRunResult> broken(3, solo);
+  std::swap(broken[0].pattern.front(), broken[0].pattern.back());  // unsorted
+  broken[1].pattern.push_back(broken[1].pattern.back());           // duplicated
+  broken[2].pattern.front().load = 0;                               // empty cell
+  for (auto& bad : broken) {
+    ScheduleProblem problem(g);
+    problem.add(service::make_algorithm(spec));
+    problem.adopt_solo({std::move(bad)});
+    const auto table = ScheduleTable::lockstep(problem.algorithm_ptrs(), g.num_nodes());
+    const auto report = verify::check_schedule(problem, table);
+    EXPECT_FALSE(report.ok());
+    EXPECT_TRUE(report.has(verify::kCodeDimensionMismatch));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SchedulerDaemon end to end
 // ---------------------------------------------------------------------------
@@ -653,11 +704,11 @@ TEST(Daemon, StaleCacheEntryIsCaughtByTheGateAndRecovered) {
   other.kind = victim.kind == JobSpec::Kind::kAggregate ? JobSpec::Kind::kBroadcast
                                                         : JobSpec::Kind::kAggregate;
   const SoloRunResult wrong = Simulator(g).run(*service::make_algorithm(other));
-  ASSERT_NE(wrong.pattern.last_message_round(),
-            Simulator(g).run(*service::make_algorithm(victim)).pattern.last_message_round());
+  ASSERT_NE(wrong.last_message_round,
+            Simulator(g).run(*service::make_algorithm(victim)).last_message_round);
   JobProfile poison;
   poison.rounds = victim.rounds();
-  poison.max_edge_load = wrong.pattern.max_edge_load();
+  poison.max_edge_load = max_edge_total(wrong.pattern, wrong.num_directed_edges);
   poison.total_messages = wrong.total_messages;
   poison.solo = wrong;
   daemon.mutable_cache().insert(
@@ -672,6 +723,30 @@ TEST(Daemon, StaleCacheEntryIsCaughtByTheGateAndRecovered) {
   EXPECT_EQ(result.stats.rejected_verify, 0u);
   EXPECT_EQ(result.stats.completed, stream.size());
   EXPECT_EQ(result.stats.admitted, result.stats.completed);
+}
+
+TEST(Daemon, MalformedCachedSurfaceIsReprofiledNotFolded) {
+  // A cached profile whose edge count matches but whose surface reaches past
+  // the graph must never reach the per-cell grid fold: the shape guard
+  // erases it and the job is profiled afresh, before any gate runs.
+  const Graph g = test_graph();
+  const auto stream = service::generate_job_stream(stream_config(0.5, 3, 1, 16), g.num_nodes());
+  ASSERT_FALSE(stream.empty());
+  const JobSpec victim = stream[0].spec;
+  SoloRunResult forged = Simulator(g).run(*service::make_algorithm(victim));
+  ASSERT_FALSE(forged.pattern.empty());
+  forged.pattern.push_back({forged.pattern.back().big_round, g.num_directed_edges(), 1});
+  JobProfile poison;
+  poison.rounds = victim.rounds();
+  poison.total_messages = forged.total_messages;
+  poison.solo = forged;
+
+  SchedulerDaemon daemon(g, {});
+  daemon.mutable_cache().insert(ProfileKey{victim.fingerprint(), graph_fingerprint(g)}, poison);
+  const ServiceResult result = daemon.serve(stream);
+  EXPECT_GT(result.stats.cache.invalidations, 0u);
+  EXPECT_EQ(result.stats.gate_rejections, 0u);
+  EXPECT_EQ(result.stats.completed, stream.size());
 }
 
 TEST(Daemon, RejectCodeNames) {

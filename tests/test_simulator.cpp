@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include "algos/aggregate.hpp"
+#include "algos/bfs.hpp"
 #include "algos/broadcast.hpp"
 #include "algos/path_routing.hpp"
+#include "analysis/analyzer.hpp"
 #include "congest/executor.hpp"
 #include "congest/simulator.hpp"
 #include "graph/generators.hpp"
+#include "sched/problem.hpp"
+#include "verify/schedule_verifier.hpp"
 
 namespace dasched {
 namespace {
@@ -61,8 +66,13 @@ TEST(Simulator, PingPongCountsRounds) {
   EXPECT_EQ(result.outputs[0].at(0), 6u);  // node 0 absorbed node 1's round-6 reply? see below
   EXPECT_EQ(result.outputs[1].at(0), 5u);
   EXPECT_EQ(result.total_messages, 6u);
-  EXPECT_EQ(result.pattern.last_message_round(), 6u);
-  EXPECT_EQ(result.pattern.max_edge_load(), 3u);  // 3 messages each direction
+  EXPECT_EQ(result.last_message_round, 6u);
+  EXPECT_EQ(max_edge_total(result.pattern, g.num_directed_edges()), 3u);  // 3 each direction
+  // One unit cell per message, big-round r - 1 for a round-r send.
+  ASSERT_EQ(result.pattern.size(), 6u);
+  for (std::uint32_t t = 0; t < 6; ++t) {
+    EXPECT_EQ(result.pattern[t], (LoadCell{t, t % 2 == 0 ? 0u : 1u, 1}));
+  }
 }
 
 TEST(Simulator, BroadcastPatternOnPath) {
@@ -76,7 +86,8 @@ TEST(Simulator, BroadcastPatternOnPath) {
     EXPECT_EQ(result.outputs[v][BroadcastAlgorithm::kOutDistance], v);
   }
   // On a path: node v forwards once in round v+1 over its incident edges.
-  EXPECT_EQ(result.pattern.last_message_round(), 4u);
+  EXPECT_EQ(result.last_message_round, 4u);
+  EXPECT_EQ(result.pattern.back().big_round, 3u);
 }
 
 TEST(Executor, DelayedScheduleProducesSameOutputs) {
@@ -221,25 +232,39 @@ TEST(Executor, LoadAccountingMatchesHandCount) {
   EXPECT_EQ(fixed.overflowing_phases, 0u);
 }
 
-TEST(Executor, RecordsPatternsIdenticalToSimulator) {
-  const auto g = make_grid(3, 3);
-  BroadcastAlgorithm algo(4, 4, 5, 9);
-  Simulator sim(g);
-  const auto solo = sim.run(algo);
+TEST(Simulator, SoloPatternEqualsPredictedAndDerivedSurfaces) {
+  // Measured == predicted == derived, as plain ==: the solo pattern is the
+  // profiler's surface of the lockstep run, check_schedule predicts the same
+  // surface for a lockstep schedule, and an exact certificate derives it
+  // without executing -- one algorithm of each workload family.
+  const auto g = make_grid(4, 4);
+  std::vector<std::unique_ptr<DistributedAlgorithm>> family;
+  family.push_back(std::make_unique<BroadcastAlgorithm>(3, 4, 11, 5));
+  family.push_back(std::make_unique<BfsAlgorithm>(7, 5, 6));
+  family.push_back(std::make_unique<AggregateAlgorithm>(2, 3, 7));
+  family.push_back(std::make_unique<PathRoutingAlgorithm>(
+      std::vector<NodeId>{0, 1, 2, 3, 7, 11, 15}, 42, 8));
+  for (auto& algo : family) {
+    SCOPED_TRACE(algo->name());
+    ScheduleProblem problem(g);
+    const DistributedAlgorithm* raw = algo.get();
+    problem.add(std::move(algo));
+    problem.run_solo();
+    const auto& solo = problem.solo()[0];
+    ASSERT_FALSE(solo.pattern.empty());
+    EXPECT_TRUE(is_load_surface(solo.pattern, g.num_directed_edges()));
 
-  ExecConfig cfg;
-  cfg.record_patterns = true;
-  Executor executor(g, cfg);
-  const DistributedAlgorithm* algos[] = {&algo};
-  const auto exec = executor.run(
-      algos, ScheduleTable::from_fn(algos, g.num_nodes(),
-                                    [](std::size_t, NodeId, std::uint32_t r) { return 5 * r; }));
+    std::vector<LoadCell> predicted;
+    const auto report = verify::check_schedule(
+        problem, ScheduleTable::lockstep(problem.algorithm_ptrs(), g.num_nodes()), {},
+        &predicted);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(predicted, solo.pattern);
 
-  ASSERT_EQ(exec.patterns.size(), 1u);
-  EXPECT_EQ(exec.patterns[0].total_messages(), solo.pattern.total_messages());
-  EXPECT_EQ(exec.patterns[0].max_edge_load(), solo.pattern.max_edge_load());
-  for (std::uint32_t d = 0; d < g.num_directed_edges(); ++d) {
-    EXPECT_EQ(exec.patterns[0].edge_load(d), solo.pattern.edge_load(d));
+    const auto cert = analysis::analyze(g, *raw);
+    ASSERT_TRUE(cert.exact());
+    EXPECT_EQ(cert.pattern, solo.pattern);
+    EXPECT_EQ(cert.num_directed_edges, solo.num_directed_edges);
   }
 }
 

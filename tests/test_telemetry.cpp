@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "graph/generators.hpp"
+#include "json_parse.hpp"
 #include "sched/private_scheduler.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"

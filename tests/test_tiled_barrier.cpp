@@ -27,10 +27,10 @@
 #include "fault/fault_plan.hpp"
 #include "fault/reliable.hpp"
 #include "graph/generators.hpp"
+#include "json_parse.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/json.hpp"
 
 namespace dasched {
 namespace {

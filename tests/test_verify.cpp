@@ -24,13 +24,13 @@
 #include "congest/executor.hpp"
 #include "fault/reliable.hpp"
 #include "graph/generators.hpp"
+#include "json_parse.hpp"
 #include "sched/baseline.hpp"
 #include "sched/doubling.hpp"
 #include "sched/global_sharing.hpp"
 #include "sched/private_scheduler.hpp"
 #include "sched/shared_scheduler.hpp"
 #include "sched/workloads.hpp"
-#include "telemetry/json.hpp"
 #include "telemetry/run_report.hpp"
 #include "util/alloc_counter.hpp"
 #include "verify/schedule_verifier.hpp"
@@ -66,6 +66,13 @@ Fixture make_fixture() {
   }
   f.valid = ScheduleTable::from_delays(f.algos, f.g.num_nodes(), offsets);
   return f;
+}
+
+/// Directed edges the solo `pattern` sends on in virtual round r, ascending.
+std::vector<std::uint32_t> round_edges(std::span<const LoadCell> pattern, std::uint32_t r) {
+  std::vector<std::uint32_t> edges;
+  for (const auto& c : cells_in_round(pattern, r - 1)) edges.push_back(c.edge);
+  return edges;
 }
 
 NodeId sender_of(const Graph& g, std::uint32_t directed) {
@@ -111,7 +118,7 @@ TEST(CheckSchedule, GapIsFlagged) {
   std::uint32_t hit_round = 0;
   for (std::uint32_t r = 1; r < rounds && hit_node < 0; ++r) {
     std::vector<bool> sends(f.g.num_nodes(), false);
-    for (const auto d : pattern.edges_in_round(r)) sends[sender_of(f.g, d)] = true;
+    for (const auto d : round_edges(pattern, r)) sends[sender_of(f.g, d)] = true;
     for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
       if (!sends[v]) {
         hit_node = v;
@@ -134,7 +141,7 @@ TEST(CheckSchedule, OrderInversionIsFlagged) {
   // constraint.
   const auto& pattern = f.problem->solo()[0].pattern;
   std::vector<bool> receives_r1(f.g.num_nodes(), false);
-  for (const auto d : pattern.edges_in_round(1)) receives_r1[receiver_of(f.g, d)] = true;
+  for (const auto d : round_edges(pattern, 1)) receives_r1[receiver_of(f.g, d)] = true;
   std::int64_t victim = -1;
   for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
     if (!receives_r1[v]) {
@@ -167,7 +174,7 @@ TEST(CheckSchedule, CausalityInversionIsFlagged) {
   const std::uint32_t rounds = f.problem->algorithm(1).rounds();
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < rounds && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
+    const auto edges = round_edges(pattern, r);
     if (!edges.empty()) victim = receiver_of(f.g, edges.front());
   }
   ASSERT_GE(victim, 0) << "fixture: algorithm 1 must deliver at least one message";
@@ -186,7 +193,7 @@ TEST(CheckSchedule, MissingProducerIsFlagged) {
   std::uint32_t sends_round = 0;
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < f.problem->algorithm(0).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
+    const auto edges = round_edges(pattern, r);
     if (!edges.empty()) {
       victim = sender_of(f.g, edges.front());
       sends_round = r;
@@ -212,7 +219,7 @@ TEST(CheckSchedule, CongestionOverrunIsFlagged) {
   for (std::uint32_t r = 1; r <= f.problem->dilation() && !collision; ++r) {
     std::vector<std::uint8_t> used(f.g.num_directed_edges(), 0);
     for (std::size_t a = 0; a < f.problem->size(); ++a) {
-      for (const auto d : f.problem->solo()[a].pattern.edges_in_round(r)) {
+      for (const auto d : round_edges(f.problem->solo()[a].pattern, r)) {
         if (used[d]) collision = true;
         used[d] = 1;
       }
@@ -299,10 +306,10 @@ std::uint64_t scheduled_messages(const ScheduleProblem& problem,
                                  const ScheduleTable& schedule) {
   std::uint64_t total = 0;
   for (std::size_t a = 0; a < problem.size(); ++a) {
-    const auto& pattern = problem.solo()[a].pattern;
-    for (std::uint32_t r = 1; r <= pattern.last_message_round(); ++r) {
-      for (const auto d : pattern.edges_in_round(r)) {
-        if (schedule.at(a, sender_of(problem.graph(), d), r) != kNeverScheduled) ++total;
+    for (const auto& c : problem.solo()[a].pattern) {
+      if (schedule.at(a, sender_of(problem.graph(), c.edge), c.big_round + 1) !=
+          kNeverScheduled) {
+        total += c.load;
       }
     }
   }
@@ -402,9 +409,9 @@ TEST(CheckSchedule, SlotNearNeverScheduledVerifiesWithoutSlotSizedMemory) {
   // order findings that raises, the static loads must carry the far cell
   // without a counting array sized by the slot value.
   const auto& pattern = f.problem->solo()[0].pattern;
-  const std::uint32_t r = pattern.last_message_round();
-  ASSERT_GT(r, 0u);
-  const auto d = pattern.edges_in_round(r).front();
+  ASSERT_FALSE(pattern.empty());
+  const std::uint32_t r = pattern.back().big_round + 1;
+  const auto d = pattern.back().edge;
   const NodeId sender = sender_of(f.g, d);
   f.valid.set(0, sender, r, kNeverScheduled - 1);
 
@@ -563,7 +570,7 @@ TEST(VerifyingAdmissionDeathTest, RejectingGateAbortsBeforeExecution) {
   const auto& pattern = f.problem->solo()[1].pattern;
   std::int64_t victim = -1;
   for (std::uint32_t r = 1; r < f.problem->algorithm(1).rounds() && victim < 0; ++r) {
-    const auto edges = pattern.edges_in_round(r);
+    const auto edges = round_edges(pattern, r);
     if (!edges.empty()) victim = receiver_of(f.g, edges.front());
   }
   ASSERT_GE(victim, 0);
